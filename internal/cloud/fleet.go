@@ -1,7 +1,6 @@
 package cloud
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 
@@ -79,8 +78,7 @@ func (s *Server) handleFleetAuthorize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req fleetAuthorizeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "invalid JSON body"})
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Items) == 0 {
@@ -167,8 +165,7 @@ func (s *Server) handleFleetContext(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req fleetContextRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "invalid JSON body"})
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Pushes) == 0 {

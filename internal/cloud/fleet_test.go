@@ -1,10 +1,12 @@
 package cloud
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -350,5 +352,55 @@ func TestFleetEndpointsAbsentWithoutFleet(t *testing.T) {
 	apiErr, ok := err.(*APIError)
 	if !ok || apiErr.StatusCode != http.StatusNotFound {
 		t.Fatalf("fleet route on fleet-less cloud = %v, want 404", err)
+	}
+}
+
+// TestRequestBodyBound: every JSON body is read through one bound. A fleet
+// batch padded to exactly maxBodyBytes is served; one byte more is refused
+// with 413 before the handler ever sees the items; and a 64-item batch with
+// inline context — a gateway's real traffic — passes.
+func TestRequestBodyBound(t *testing.T) {
+	srv, _ := startFleetCloud(t, 4)
+	c := login(t, srv, "gateway", "s3cret")
+	padded := func(size int) []byte {
+		head := `{"items":[{"home":"home-00","op":"light.get_state","device_id":"lamp-1"}]`
+		return []byte(head + strings.Repeat(" ", size-len(head)-1) + "}")
+	}
+	for _, tc := range []struct {
+		path string
+		size int
+		want int
+	}{
+		{"/v1/fleet/authorize", maxBodyBytes, http.StatusOK},
+		{"/v1/fleet/authorize", maxBodyBytes + 1, http.StatusRequestEntityTooLarge},
+		{"/v1/fleet/context", maxBodyBytes + 1, http.StatusRequestEntityTooLarge},
+		{"/v1/command", maxBodyBytes + 1, http.StatusRequestEntityTooLarge},
+		{"/v1/login", maxBodyBytes + 1, http.StatusRequestEntityTooLarge},
+	} {
+		req := httptest.NewRequest(http.MethodPost, tc.path, bytes.NewReader(padded(tc.size)))
+		req.Header.Set("Authorization", "Session "+c.session)
+		rec := httptest.NewRecorder()
+		srv.http.Handler.ServeHTTP(rec, req)
+		if rec.Code != tc.want {
+			t.Errorf("%s with a %d-byte body = HTTP %d %s, want %d", tc.path, tc.size, rec.Code, rec.Body, tc.want)
+		}
+	}
+
+	legal, err := dataset.LegalScene(dataset.ModelWindow, rand.New(rand.NewSource(77)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := make([]FleetBatchItem, 64)
+	for i := range items {
+		items[i] = FleetItem(fmt.Sprintf("home-%02d", i%4), "window.open", "win-1", &legal)
+	}
+	results, err := c.FleetAuthorize(items)
+	if err != nil || len(results) != 64 {
+		t.Fatalf("64-item batch = %d results, %v", len(results), err)
+	}
+	for i, r := range results {
+		if r.Error != "" || !r.Allowed {
+			t.Fatalf("64-item batch item %d = %+v", i, r)
+		}
 	}
 }

@@ -302,6 +302,29 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// maxBodyBytes bounds every JSON request body, so no handler reads an
+// unbounded body before checking it. The largest legitimate body is a
+// fleet batch: a full maxFleetBatch of items without inline context fits,
+// and a gateway's batches with inline context stay far below it.
+const maxBodyBytes = 8 << 20
+
+// decodeBody decodes a JSON request body of at most maxBodyBytes into v.
+// On failure it answers the request itself — 413 for an oversized body,
+// 400 for malformed JSON — and reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes)})
+	default:
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: "invalid JSON body"})
+	}
+	return false
+}
+
 type loginRequest struct {
 	User   string `json:"user"`
 	Secret string `json:"secret"`
@@ -317,8 +340,7 @@ func (s *Server) handleLogin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req loginRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "invalid JSON body"})
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	// Brute-force lockout: too many consecutive failures freeze the
@@ -430,8 +452,7 @@ func (s *Server) handleCommand(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req commandRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "invalid JSON body"})
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	// Verification step 1: the opcode must exist.

@@ -1,125 +1,73 @@
 package core
 
 import (
-	"sort"
 	"sync"
-	"sync/atomic"
 
+	"iotsid/internal/instr"
 	"iotsid/internal/obs"
 )
 
-// decisionLog is a fixed-capacity, sharded ring buffer of authorisation
-// records. Hot-path appends hash the device ID to a shard and take only
-// that shard's lock, so concurrent Authorize calls on different devices
-// never serialise on one mutex — and the log cannot grow without bound the
-// way the old append-only slice did. A global atomic sequence number gives
-// reads a total order across shards.
-type decisionLog struct {
-	shards []logShard
-	mask   uint32
-	seq    atomic.Uint64
+// LogEntry records one authorisation. Seq numbers the log's appends from 1.
+type LogEntry struct {
+	Seq      uint64   `json:"seq"`
+	Op       string   `json:"op"`
+	DeviceID string   `json:"device_id"`
+	Decision Decision `json:"decision"`
+}
 
-	// appends/evictions surface the ring's behaviour to the metrics layer:
-	// the ring never blocks and never grows, so the only way it "drops" is
-	// by overwriting its oldest entry — before these counters that loss was
-	// silent. Both are nil (no-op) on an uninstrumented framework.
-	appends   *obs.Counter
+// DecisionLog is a fixed-capacity ring of authorisation records: the
+// framework's log and each fleet home's audit tail. It never blocks and
+// never grows; the only way it drops is by overwriting its oldest entry,
+// which the optional eviction counter makes visible.
+type DecisionLog struct {
+	mu   sync.Mutex
+	buf  []LogEntry // ring storage, len == capacity
+	next uint64     // entries ever appended
+
+	appends   *obs.Counter // nil when uninstrumented
 	evictions *obs.Counter
 }
 
-type logShard struct {
-	mu   sync.Mutex
-	buf  []LogEntry // ring storage, len == cap
-	next uint64     // entries ever appended to this shard
-	_    [24]byte   // pad to keep neighbouring shard locks off one cache line
-}
-
-// defaultLogCapacity bounds the framework log when the caller does not
-// choose a size.
+// defaultLogCapacity sizes a log whose caller did not choose a capacity.
 const defaultLogCapacity = 4096
 
-// logShardCount must be a power of two for the mask trick.
-const logShardCount = 8
-
-func newDecisionLog(capacity int) *decisionLog {
+// NewDecisionLog returns a ring retaining the newest capacity entries
+// (default 4096 when capacity <= 0). appends and evictions, when non-nil,
+// count every append and every overwritten entry.
+func NewDecisionLog(capacity int, appends, evictions *obs.Counter) *DecisionLog {
 	if capacity <= 0 {
 		capacity = defaultLogCapacity
 	}
-	perShard := (capacity + logShardCount - 1) / logShardCount
-	l := &decisionLog{shards: make([]logShard, logShardCount), mask: logShardCount - 1}
-	for i := range l.shards {
-		l.shards[i].buf = make([]LogEntry, perShard)
-	}
-	return l
+	return &DecisionLog{buf: make([]LogEntry, capacity), appends: appends, evictions: evictions}
 }
 
-// fnv32a hashes the device ID without allocating.
-func fnv32a(s string) uint32 {
-	const (
-		offset = 2166136261
-		prime  = 16777619
-	)
-	h := uint32(offset)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= prime
-	}
-	return h
-}
-
-// instrument attaches append/eviction counters (pre-registered by the
-// framework; nil leaves the log uninstrumented).
-func (l *decisionLog) instrument(appends, evictions *obs.Counter) {
-	l.appends = appends
-	l.evictions = evictions
-}
-
-// append records one entry, stamping it with the next global sequence
-// number. Only the owning shard's lock is taken.
-func (l *decisionLog) append(e LogEntry) {
-	e.Seq = l.seq.Add(1)
-	s := &l.shards[fnv32a(e.DeviceID)&l.mask]
-	s.mu.Lock()
-	evicted := s.next >= uint64(len(s.buf))
-	s.buf[s.next%uint64(len(s.buf))] = e
-	s.next++
-	s.mu.Unlock()
+// Append records one decision, stamping it with the next sequence number.
+//
+//iot:hotpath
+func (l *DecisionLog) Append(in instr.Instruction, dec Decision) {
+	l.mu.Lock()
+	evicted := l.next >= uint64(len(l.buf))
+	l.next++
+	l.buf[(l.next-1)%uint64(len(l.buf))] = LogEntry{Seq: l.next, Op: in.Op, DeviceID: in.DeviceID, Decision: dec}
+	l.mu.Unlock()
 	l.appends.Inc()
 	if evicted {
 		l.evictions.Inc()
 	}
 }
 
-// snapshot copies every retained entry, ordered oldest → newest by global
-// sequence. The copy is bounded by the ring capacity regardless of how many
-// decisions the framework has ever made.
-func (l *decisionLog) snapshot() []LogEntry {
-	out := make([]LogEntry, 0, len(l.shards)*len(l.shards[0].buf))
-	for i := range l.shards {
-		s := &l.shards[i]
-		s.mu.Lock()
-		n := s.next
-		retained := uint64(len(s.buf))
-		if n < retained {
-			retained = n
-		}
-		for j := n - retained; j < n; j++ {
-			out = append(out, s.buf[j%uint64(len(s.buf))])
-		}
-		s.mu.Unlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
-}
+// Snapshot copies every retained entry, oldest first.
+func (l *DecisionLog) Snapshot() []LogEntry { return l.Recent(len(l.buf)) }
 
-// recent returns the newest n retained entries, oldest → newest.
-func (l *decisionLog) recent(n int) []LogEntry {
-	all := l.snapshot()
-	if n < 0 {
-		n = 0
+// Recent copies the newest n retained entries, oldest first.
+func (l *DecisionLog) Recent(n int) []LogEntry {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	size := uint64(len(l.buf))
+	keep := min(l.next, size, uint64(max(n, 0)))
+	out := make([]LogEntry, 0, keep)
+	for j := l.next - keep; j < l.next; j++ {
+		out = append(out, l.buf[j%size])
 	}
-	if n > len(all) {
-		n = len(all)
-	}
-	return all[len(all)-n:]
+	return out
 }

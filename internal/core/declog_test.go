@@ -4,26 +4,28 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"iotsid/internal/instr"
 )
 
-func logEntryFor(device string, op string) LogEntry {
-	return LogEntry{Op: op, DeviceID: device, Decision: Decision{Allowed: true, Reason: op}}
+func appendFor(l *DecisionLog, device, op string) {
+	l.Append(instr.Instruction{Op: op, DeviceID: device}, Decision{Allowed: true, Reason: op})
 }
 
-func TestDecisionLogOrdersAcrossShards(t *testing.T) {
-	l := newDecisionLog(128)
+func TestDecisionLogOrdersAcrossDevices(t *testing.T) {
+	l := NewDecisionLog(128, nil, nil)
 	for i := 0; i < 50; i++ {
-		l.append(logEntryFor(fmt.Sprintf("dev-%d", i), fmt.Sprintf("op-%d", i)))
+		appendFor(l, fmt.Sprintf("dev-%d", i), fmt.Sprintf("op-%d", i))
 	}
-	got := l.snapshot()
+	got := l.Snapshot()
 	if len(got) != 50 {
 		t.Fatalf("snapshot = %d entries", len(got))
 	}
 	for i, e := range got {
 		if e.Seq != uint64(i+1) {
-			t.Fatalf("entry %d has seq %d — not globally ordered", i, e.Seq)
+			t.Fatalf("entry %d has seq %d — not in append order", i, e.Seq)
 		}
-		if e.Op != fmt.Sprintf("op-%d", i) {
+		if e.Op != fmt.Sprintf("op-%d", i) || e.DeviceID != fmt.Sprintf("dev-%d", i) {
 			t.Fatalf("entry %d = %+v", i, e)
 		}
 	}
@@ -31,15 +33,15 @@ func TestDecisionLogOrdersAcrossShards(t *testing.T) {
 
 func TestDecisionLogStaysBounded(t *testing.T) {
 	const capacity = 64
-	l := newDecisionLog(capacity)
-	// Hammer a single device so one shard overflows many times.
+	l := NewDecisionLog(capacity, nil, nil)
+	// Hammer a single device: the ring overflows many times and retains
+	// exactly its capacity, however the traffic is spread over devices.
 	for i := 0; i < 10*capacity; i++ {
-		l.append(logEntryFor("dev-hot", fmt.Sprintf("op-%d", i)))
+		appendFor(l, "dev-hot", fmt.Sprintf("op-%d", i))
 	}
-	got := l.snapshot()
-	perShard := (capacity + logShardCount - 1) / logShardCount
-	if len(got) != perShard {
-		t.Fatalf("single-device log retained %d entries, want shard cap %d", len(got), perShard)
+	got := l.Snapshot()
+	if len(got) != capacity {
+		t.Fatalf("log retained %d entries, want capacity %d", len(got), capacity)
 	}
 	// The retained entries are the newest ones, in order.
 	for i := 1; i < len(got); i++ {
@@ -50,32 +52,35 @@ func TestDecisionLogStaysBounded(t *testing.T) {
 	if got[len(got)-1].Op != fmt.Sprintf("op-%d", 10*capacity-1) {
 		t.Fatalf("newest retained = %+v", got[len(got)-1])
 	}
+	if d := NewDecisionLog(0, nil, nil); len(d.buf) != defaultLogCapacity {
+		t.Fatalf("zero capacity gave a %d-entry ring, want the %d default", len(d.buf), defaultLogCapacity)
+	}
 }
 
 func TestDecisionLogRecent(t *testing.T) {
-	l := newDecisionLog(128)
+	l := NewDecisionLog(128, nil, nil)
 	for i := 0; i < 30; i++ {
-		l.append(logEntryFor(fmt.Sprintf("dev-%d", i%7), fmt.Sprintf("op-%d", i)))
+		appendFor(l, fmt.Sprintf("dev-%d", i%7), fmt.Sprintf("op-%d", i))
 	}
-	recent := l.recent(5)
+	recent := l.Recent(5)
 	if len(recent) != 5 {
-		t.Fatalf("recent(5) = %d entries", len(recent))
+		t.Fatalf("Recent(5) = %d entries", len(recent))
 	}
 	for i, e := range recent {
 		if e.Op != fmt.Sprintf("op-%d", 25+i) {
 			t.Fatalf("recent[%d] = %+v", i, e)
 		}
 	}
-	if got := l.recent(1000); len(got) != 30 {
-		t.Fatalf("recent(1000) = %d", len(got))
+	if got := l.Recent(1000); len(got) != 30 {
+		t.Fatalf("Recent(1000) = %d", len(got))
 	}
-	if got := l.recent(-1); len(got) != 0 {
-		t.Fatalf("recent(-1) = %d", len(got))
+	if got := l.Recent(-1); len(got) != 0 {
+		t.Fatalf("Recent(-1) = %d", len(got))
 	}
 }
 
 func TestDecisionLogConcurrentAppend(t *testing.T) {
-	l := newDecisionLog(4096)
+	l := NewDecisionLog(4096, nil, nil)
 	const goroutines = 8
 	const perG = 500
 	var wg sync.WaitGroup
@@ -84,7 +89,7 @@ func TestDecisionLogConcurrentAppend(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				l.append(logEntryFor(fmt.Sprintf("dev-%d-%d", g, i), "op"))
+				appendFor(l, fmt.Sprintf("dev-%d-%d", g, i), "op")
 			}
 		}(g)
 	}
@@ -95,9 +100,9 @@ func TestDecisionLogConcurrentAppend(t *testing.T) {
 		go func() {
 			defer rwg.Done()
 			for i := 0; i < 50; i++ {
-				snap := l.snapshot()
+				snap := l.Snapshot()
 				for j := 1; j < len(snap); j++ {
-					if snap[j].Seq <= snap[j-1].Seq {
+					if snap[j].Seq != snap[j-1].Seq+1 {
 						t.Error("snapshot out of order")
 						return
 					}
@@ -107,7 +112,7 @@ func TestDecisionLogConcurrentAppend(t *testing.T) {
 	}
 	wg.Wait()
 	rwg.Wait()
-	if got := l.snapshot(); len(got) != goroutines*perG {
+	if got := l.Snapshot(); len(got) != goroutines*perG {
 		t.Fatalf("retained %d of %d appends", len(got), goroutines*perG)
 	}
 }

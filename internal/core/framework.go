@@ -22,28 +22,18 @@ type Framework struct {
 	detector  *Detector
 	collector Collector
 	memory    *FeatureMemory
-	judger    *Judger
+	verdict   *VerdictStage
 
-	log     *decisionLog
+	log     *DecisionLog
 	audit   atomic.Pointer[trace.Log]
 	metrics *frameworkMetrics
 	now     func() time.Time
 
-	// Sequence judge (second detection axis, ROADMAP item 1): trained
-	// transition tables plus this home's bounded event-history ring. nil
-	// seq disables the axis entirely — the static tree stands alone.
+	// Sequence judge (second detection axis): trained transition tables
+	// plus this home's bounded event-history ring. nil seq disables the
+	// axis entirely — the static tree stands alone.
 	seq      *seq.Set
 	seqTrack seq.Tracker
-	seqAnoms atomic.Uint64
-}
-
-// LogEntry records one authorisation. Seq is a process-wide sequence number
-// ordering entries across the log's shards.
-type LogEntry struct {
-	Seq      uint64   `json:"seq"`
-	Op       string   `json:"op"`
-	DeviceID string   `json:"device_id"`
-	Decision Decision `json:"decision"`
 }
 
 // Config wires a framework.
@@ -52,7 +42,8 @@ type Config struct {
 	Collector Collector
 	Memory    *FeatureMemory
 	// LogCapacity bounds the decision log's ring buffer; 0 means the
-	// default (4096 entries). The log retains the newest entries.
+	// default (4096 entries). The log retains exactly the newest
+	// LogCapacity entries.
 	LogCapacity int
 	// Metrics, when non-nil, instruments the framework: decision counts by
 	// outcome and sensitivity, Authorize latency, and decision-log
@@ -80,32 +71,32 @@ func New(cfg Config) (*Framework, error) {
 	if cfg.Memory != nil {
 		store = cfg.Memory
 	}
-	j, err := NewJudger(cfg.Detector, store)
-	if err != nil {
-		return nil, err
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	f := &Framework{
+	var seqAnoms, appends, evictions *obs.Counter
+	if reg := cfg.Metrics; reg != nil {
+		seqAnoms = reg.NewCounter(metricSeqAnomalies,
+			"Sensitive instructions rejected by the sequence judge after the static tree allowed them.")
+		appends = reg.NewCounter(metricLogAppends,
+			"Entries appended to the authorization decision log.")
+		evictions = reg.NewCounter(metricLogEvictions,
+			"Oldest entries overwritten (dropped) by the decision log's bounded ring.")
+	}
+	v, err := NewVerdictStage(cfg.Detector, store, cfg.Now, seqAnoms)
+	if err != nil {
+		return nil, err
+	}
+	return &Framework{
 		detector:  cfg.Detector,
 		collector: cfg.Collector,
 		memory:    cfg.Memory,
-		judger:    j,
-		log:       newDecisionLog(cfg.LogCapacity),
+		verdict:   v,
+		log:       NewDecisionLog(cfg.LogCapacity, appends, evictions),
 		metrics:   newFrameworkMetrics(cfg.Metrics),
 		now:       cfg.Now,
 		seq:       cfg.Sequence,
-	}
-	if cfg.Metrics != nil {
-		f.log.instrument(
-			cfg.Metrics.NewCounter(metricLogAppends,
-				"Entries appended to the sharded authorization decision log."),
-			cfg.Metrics.NewCounter(metricLogEvictions,
-				"Oldest entries overwritten (dropped) by the decision log's bounded ring."),
-		)
-	}
-	return f, nil
+	}, nil
 }
 
 // SetAuditLog attaches (or detaches) an audit trace: every authorisation
@@ -126,10 +117,10 @@ func (f *Framework) Detector() *Detector { return f.detector }
 //
 // Degraded mode: when the collector reports per-source provenance (a
 // DetailedCollector, e.g. MultiCollector) and a required source is missing
-// or beyond its staleness budget, sensitive instructions fail closed with
-// an explicit rejection while non-sensitive instructions still judge
-// against the partial context — the explicit choice between bounded
-// staleness and failing closed, never crashing open.
+// (or beyond its staleness budget) or below its trust threshold, sensitive
+// instructions fail closed with an explicit rejection while non-sensitive
+// instructions still judge against the partial context — the explicit
+// choice between bounded staleness and failing closed, never crashing open.
 //
 //iot:hotpath
 //iot:failclosed
@@ -140,48 +131,13 @@ func (f *Framework) Authorize(ctx context.Context, in instr.Instruction) (Decisi
 		//iot:allow hotalloc error path, never taken steady-state; the AllocsPerRun gate proves the allow path is 0-alloc
 		return Decision{}, fmt.Errorf("core: collect context: %w", err)
 	}
-	if dec, failed := f.failClosed(in, prov, snap); failed { //iot:allow hotcall fail-closed path is cold; the steady state returns before the missing-source scan allocates
-		f.metrics.observeLatency(f.now().Sub(start))
-		return dec, nil
-	}
+	why, missing := failReason(prov) //iot:allow hotcall the provenance scans allocate only on a degraded context; a healthy one yields nil lists
 	//iot:allow hotcall audit-trace fields map is only built when the optional audit log is attached; production steady state runs with it off
-	dec, err := f.judgeAndLog(in, snap)
+	dec, err := f.decide(in, snap, why, missing)
 	if err == nil {
 		f.metrics.observeLatency(f.now().Sub(start))
 	}
 	return dec, err
-}
-
-// AuthorizeBatch collects the sensor context once and judges every
-// instruction against that single snapshot — the amortised form of
-// Authorize for callers draining a command queue. Decisions are returned in
-// input order; the first judgment error aborts the batch.
-//
-//iot:failclosed
-func (f *Framework) AuthorizeBatch(ctx context.Context, ins []instr.Instruction) ([]Decision, error) {
-	if len(ins) == 0 {
-		return nil, nil
-	}
-	start := f.now()
-	snap, prov, err := f.collect(ctx)
-	if err != nil {
-		return nil, fmt.Errorf("core: collect context: %w", err)
-	}
-	f.metrics.observeBatch()
-	defer func() { f.metrics.observeLatency(f.now().Sub(start)) }()
-	out := make([]Decision, len(ins))
-	for i, in := range ins {
-		if dec, failed := f.failClosed(in, prov, snap); failed {
-			out[i] = dec
-			continue
-		}
-		dec, err := f.judgeAndLog(in, snap)
-		if err != nil {
-			return nil, fmt.Errorf("core: batch instruction %d (%s): %w", i, in.Op, err)
-		}
-		out[i] = dec
-	}
-	return out, nil
 }
 
 // collect prefers the provenance-reporting path when the collector offers
@@ -194,83 +150,52 @@ func (f *Framework) collect(ctx context.Context) (sensor.Snapshot, Provenance, e
 	return snap, nil, err
 }
 
-// reasonLowTrust is the static (interned) fail-closed reason for the
-// low-trust path: the hot path must reject without building a string.
-const reasonLowTrust = "sensitive instruction rejected (fail closed): required sensor source(s) below trust threshold"
-
-// reasonSeqAnomaly is the static (interned) rejection reason when the
-// sequence judge flags a sensitive instruction the static tree allowed.
-const reasonSeqAnomaly = "sensitive instruction rejected (fail closed): instruction sequence outside trained temporal profile"
-
-// reasonMissing is the static (interned) rejection reason when a required
-// source contributed nothing; the per-decision source list goes in
-// Explanation so the Reason string stays interned (failclosed analyzer
-// rule).
-const reasonMissing = "sensitive instruction rejected (fail closed): required sensor source(s) unavailable"
-
-// failClosed rejects a sensitive instruction when a required context
-// source contributed nothing — deciding blind on a sensitive command is
-// exactly what the attacker of §III-A wants — or when a required source's
-// trust score fell below threshold: fresh-but-fabricated context is the
-// sensor-spoofing twin of no context at all. The rejection is a logged
-// decision, not an error: the caller gets a definitive "no".
-//
-//iot:failclosed
-func (f *Framework) failClosed(in instr.Instruction, prov Provenance, at sensor.Snapshot) (Decision, bool) {
-	missing := prov.MissingRequired()
-	lowTrust := prov.LowTrustRequired()
-	if (len(missing) == 0 && len(lowTrust) == 0) || !f.detector.IsSensitive(in) {
-		return Decision{}, false
+// failReason maps collector provenance onto the fail-closed table: a
+// required source that contributed nothing outranks one below its trust
+// threshold. missing lists the absent sources for the rejection's
+// explanation.
+func failReason(prov Provenance) (why FailReason, missing []string) {
+	if missing = prov.MissingRequired(); len(missing) > 0 {
+		return ReasonMissing, missing
 	}
-	dec := Decision{Allowed: false, Sensitive: true, Reason: reasonLowTrust}
-	if len(missing) > 0 {
-		dec.Reason = reasonMissing
-		dec.Explanation = in.Op + " blocked; missing required source(s): " + strings.Join(missing, ", ")
+	if len(prov.LowTrustRequired()) > 0 {
+		return ReasonLowTrust, nil
 	}
-	f.metrics.observeFailClosed()
-	f.logDecision(in, dec, at)
-	return dec, true
+	return FailReason{}, nil
 }
 
 // Judge decides against a caller-supplied context (used when the caller
 // already holds the snapshot, e.g. the automation engine's evaluation
 // context).
 func (f *Framework) Judge(in instr.Instruction, ctx sensor.Snapshot) (Decision, error) {
-	return f.judgeAndLog(in, ctx)
+	return f.decide(in, ctx, FailReason{}, nil)
 }
 
+// decide runs the shared verdict stage, then counts and logs the decision.
+// A fail-closed rejection is a logged decision, not an error: the caller
+// gets a definitive "no".
+//
 //iot:failclosed
-func (f *Framework) judgeAndLog(in instr.Instruction, ctx sensor.Snapshot) (Decision, error) {
-	dec, err := f.judger.Judge(in, ctx)
+func (f *Framework) decide(in instr.Instruction, snap sensor.Snapshot, why FailReason, missing []string) (Decision, error) {
+	dec, outcome, err := f.verdict.Decide(in, snap, why, f.seq, &f.seqTrack)
 	if err != nil {
 		return Decision{}, err
 	}
-	if f.seq != nil {
-		// Combined verdict, fail closed: the sequence judge can only
-		// revoke an allow, never grant one. Every admitted event — allowed
-		// sensitive or not — extends the history the next judgment sees.
-		at := ctx.At
-		if at.IsZero() {
-			at = f.now()
-		}
-		if v := f.seq.ObserveJudge(&f.seqTrack, dec.Model, dec.Sensitive, dec.Allowed, ctx, at); v.Anomalous {
-			dec = Decision{Allowed: false, Sensitive: true, Model: dec.Model, Reason: reasonSeqAnomaly}
-			f.seqAnoms.Add(1)
-			f.metrics.observeSeqAnomaly()
-		}
+	if outcome == OutcomeFailClosed && len(missing) > 0 {
+		dec.Explanation = in.Op + " blocked; missing required source(s): " + strings.Join(missing, ", ")
 	}
-	f.metrics.observeDecision(dec)
-	f.logDecision(in, dec, ctx)
+	f.metrics.observeDecision(outcome, dec.Sensitive)
+	f.logDecision(in, dec, snap)
 	return dec, nil
 }
 
 // SeqAnomalies reports how many sensitive instructions the sequence judge
 // rejected after the static tree allowed them.
-func (f *Framework) SeqAnomalies() uint64 { return f.seqAnoms.Load() }
+func (f *Framework) SeqAnomalies() uint64 { return f.verdict.SeqAnomalies() }
 
 // logDecision appends a decision to the ring log and the audit trace.
 func (f *Framework) logDecision(in instr.Instruction, dec Decision, ctx sensor.Snapshot) {
-	f.log.append(LogEntry{Op: in.Op, DeviceID: in.DeviceID, Decision: dec})
+	f.log.Append(in, dec)
 	if audit := f.audit.Load(); audit != nil {
 		outcome := "allowed"
 		if !dec.Allowed {
@@ -296,19 +221,19 @@ func (f *Framework) logDecision(in instr.Instruction, dec Decision, ctx sensor.S
 // log is a bounded ring: once more decisions have been made than the
 // configured capacity, only the newest survive.
 func (f *Framework) Log() []LogEntry {
-	return f.log.snapshot()
+	return f.log.Snapshot()
 }
 
 // LogRecent returns the newest n retained entries, oldest first — the
 // cheap way to peek at recent traffic without copying the whole ring.
 func (f *Framework) LogRecent(n int) []LogEntry {
-	return f.log.recent(n)
+	return f.log.Recent(n)
 }
 
 // Gate adapts the framework to the vendor bridges' gate signature: a
 // non-nil error blocks execution.
 func (f *Framework) Gate(in instr.Instruction, ctx sensor.Snapshot) error {
-	dec, err := f.judgeAndLog(in, ctx)
+	dec, err := f.Judge(in, ctx)
 	if err != nil {
 		return err
 	}
@@ -323,7 +248,7 @@ func (f *Framework) Gate(in instr.Instruction, ctx sensor.Snapshot) error {
 // command must not run.
 func (f *Framework) Interceptor() func(in instr.Instruction, ctx sensor.Snapshot) (bool, string) {
 	return func(in instr.Instruction, ctx sensor.Snapshot) (bool, string) {
-		dec, err := f.judgeAndLog(in, ctx)
+		dec, err := f.Judge(in, ctx)
 		if err != nil {
 			if f.detector.IsSensitive(in) {
 				return false, fmt.Sprintf("ids: cannot judge sensitive instruction: %v", err)

@@ -71,41 +71,6 @@ func (c *countingStatic) Collect(context.Context) (sensor.Snapshot, error) {
 	return c.snap, nil
 }
 
-func TestFrameworkAuthorizeBatch(t *testing.T) {
-	col := &countingStatic{snap: legalCtx(t, dataset.ModelWindow)}
-	f := frameworkForTest(t, col)
-	ins := []instr.Instruction{
-		buildInstr(t, "window.open", "window-1"),
-		buildInstr(t, "window.get_state", "window-1"),
-		buildInstr(t, "window.open", "window-2"),
-	}
-	decs, err := f.AuthorizeBatch(context.Background(), ins)
-	if err != nil {
-		t.Fatalf("AuthorizeBatch: %v", err)
-	}
-	if len(decs) != 3 {
-		t.Fatalf("decisions = %d", len(decs))
-	}
-	for i, dec := range decs {
-		if !dec.Allowed {
-			t.Errorf("decision %d rejected: %+v", i, dec)
-		}
-	}
-	if col.calls != 1 {
-		t.Errorf("batch collected %d times, want 1", col.calls)
-	}
-	if got := f.Log(); len(got) != 3 {
-		t.Errorf("log = %d entries", len(got))
-	}
-	// Empty batch is a no-op that does not collect.
-	if decs, err := f.AuthorizeBatch(context.Background(), nil); err != nil || decs != nil {
-		t.Errorf("empty batch = %v, %v", decs, err)
-	}
-	if col.calls != 1 {
-		t.Errorf("empty batch collected")
-	}
-}
-
 func TestFrameworkLogBoundedAndRecent(t *testing.T) {
 	f, err := New(Config{
 		Detector:    detectorForTest(t),

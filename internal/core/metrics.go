@@ -15,7 +15,6 @@ const (
 	metricDecisions    = "iotsid_authz_decisions_total"
 	metricSeqAnomalies = "iotsid_authz_seq_anomalies_total"
 	metricAuthzLatency = "iotsid_authz_latency_seconds"
-	metricBatches      = "iotsid_authz_batches_total"
 	metricLogAppends   = "iotsid_decision_log_appends_total"
 	metricLogEvictions = "iotsid_decision_log_evictions_total"
 	metricSourceState  = "iotsid_collector_source_collects_total"
@@ -24,24 +23,14 @@ const (
 	metricBreaker      = "iotsid_breaker_transitions_total"
 )
 
-// Decision outcome indices for the pre-registered counter matrix.
-const (
-	outcomeAllow = iota
-	outcomeReject
-	outcomeFailClosed
-	outcomeCount
-)
-
 // frameworkMetrics holds the framework's pre-registered series: a direct
 // pointer per (outcome, sensitivity) cell plus the latency histogram, so
 // the Authorize hot path counts itself with two atomic adds and zero
 // lookups. A nil *frameworkMetrics disables instrumentation entirely —
 // every method is nil-receiver safe.
 type frameworkMetrics struct {
-	decisions    [outcomeCount][2]*obs.Counter // [outcome][sensitive]
-	latency      *obs.Histogram
-	batches      *obs.Counter
-	seqAnomalies *obs.Counter
+	decisions [OutcomeCount][2]*obs.Counter // [outcome][sensitive]
+	latency   *obs.Histogram
 }
 
 // newFrameworkMetrics pre-registers the authorization series.
@@ -56,53 +45,24 @@ func newFrameworkMetrics(reg *obs.Registry) *frameworkMetrics {
 		latency: reg.NewHistogram(metricAuthzLatency,
 			"End-to-end Framework.Authorize latency (collect + judge + log), seconds.",
 			obs.LatencyBuckets),
-		batches: reg.NewCounter(metricBatches,
-			"AuthorizeBatch invocations (each also counts one latency observation)."),
-		seqAnomalies: reg.NewCounter(metricSeqAnomalies,
-			"Sensitive instructions rejected by the sequence judge after the static tree allowed them."),
 	}
-	names := [outcomeCount]string{"allow", "reject", "fail_closed"}
-	for o := 0; o < outcomeCount; o++ {
-		m.decisions[o][0] = dec.With(names[o], "false")
-		m.decisions[o][1] = dec.With(names[o], "true")
+	for o := Outcome(0); o < OutcomeCount; o++ {
+		m.decisions[o][0] = dec.With(o.String(), "false")
+		m.decisions[o][1] = dec.With(o.String(), "true")
 	}
 	return m
 }
 
-// boolIdx maps a sensitivity flag onto the counter matrix column.
-func boolIdx(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// observeDecision counts one judged decision.
-func (m *frameworkMetrics) observeDecision(dec Decision) {
+// observeDecision counts one decision in its (outcome, sensitivity) cell.
+func (m *frameworkMetrics) observeDecision(o Outcome, sensitive bool) {
 	if m == nil {
 		return
 	}
-	o := outcomeReject
-	if dec.Allowed {
-		o = outcomeAllow
+	col := 0
+	if sensitive {
+		col = 1
 	}
-	m.decisions[o][boolIdx(dec.Sensitive)].Inc()
-}
-
-// observeFailClosed counts one fail-closed rejection (always sensitive).
-func (m *frameworkMetrics) observeFailClosed() {
-	if m == nil {
-		return
-	}
-	m.decisions[outcomeFailClosed][1].Inc()
-}
-
-// observeSeqAnomaly counts one sequence-judge rejection.
-func (m *frameworkMetrics) observeSeqAnomaly() {
-	if m == nil {
-		return
-	}
-	m.seqAnomalies.Inc()
+	m.decisions[o][col].Inc()
 }
 
 // observeLatency records one Authorize round trip.
@@ -111,14 +71,6 @@ func (m *frameworkMetrics) observeLatency(d time.Duration) {
 		return
 	}
 	m.latency.Observe(d.Seconds())
-}
-
-// observeBatch counts one AuthorizeBatch call.
-func (m *frameworkMetrics) observeBatch() {
-	if m == nil {
-		return
-	}
-	m.batches.Inc()
 }
 
 // BreakerTransitionHook returns a resilience.BreakerConfig.OnStateChange

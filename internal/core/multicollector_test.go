@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"iotsid/internal/dataset"
-	"iotsid/internal/instr"
 	"iotsid/internal/resilience"
 	"iotsid/internal/sensor"
 )
@@ -394,33 +393,5 @@ func TestFrameworkFailsClosedOnMissingRequiredSource(t *testing.T) {
 	alive.set(sensor.Snapshot{}, errors.New("down"))
 	if _, err := f.Authorize(context.Background(), buildInstr(t, "window.open", "window-1")); err == nil {
 		t.Fatal("want collect error with no context at all")
-	}
-}
-
-// TestFrameworkBatchFailsClosedSelectively: one collect, mixed batch — the
-// sensitive instructions are rejected, the rest judged.
-func TestFrameworkBatchFailsClosedSelectively(t *testing.T) {
-	dead := &flakyCollector{err: errors.New("udp timeout")}
-	alive := &flakyCollector{snap: legalCtx(t, dataset.ModelWindow)}
-	m, err := NewMultiCollector(MultiConfig{},
-		Source{Name: "miio", Required: true, Collector: dead},
-		Source{Name: "st", Collector: alive},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := frameworkForTest(t, m)
-	decs, err := f.AuthorizeBatch(context.Background(), []instr.Instruction{
-		buildInstr(t, "window.open", "window-1"),
-		buildInstr(t, "window.get_state", "window-1"),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if decs[0].Allowed || !decs[0].Sensitive {
-		t.Errorf("sensitive batch entry = %+v", decs[0])
-	}
-	if !decs[1].Allowed {
-		t.Errorf("non-sensitive batch entry = %+v", decs[1])
 	}
 }

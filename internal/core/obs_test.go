@@ -244,7 +244,7 @@ func TestDecisionLogEvictionCounter(t *testing.T) {
 		Collector:   CollectorFunc(func(ctx context.Context) (sensor.Snapshot, error) { return legal, nil }),
 		Memory:      memoryForTest(t),
 		Metrics:     reg,
-		LogCapacity: 16, // 8 shards × 2 slots
+		LogCapacity: 16,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +257,10 @@ func TestDecisionLogEvictionCounter(t *testing.T) {
 		}
 	}
 	retained := len(f.Log())
-	appends := reg.NewCounter(metricLogAppends, "Entries appended to the sharded authorization decision log.")
+	if retained != 16 {
+		t.Fatalf("log retained %d entries, want exactly LogCapacity 16", retained)
+	}
+	appends := reg.NewCounter(metricLogAppends, "Entries appended to the authorization decision log.")
 	evictions := reg.NewCounter(metricLogEvictions, "Oldest entries overwritten (dropped) by the decision log's bounded ring.")
 	if appends.Value() != n {
 		t.Fatalf("appends counter %d, want %d", appends.Value(), n)

@@ -18,16 +18,6 @@ import (
 	"iotsid/internal/trust"
 )
 
-// Fail-closed reasons are fixed strings so the degraded path stays cheap
-// and the decision stream deterministic.
-const (
-	reasonNoContext  = "sensitive instruction rejected (fail closed): home has pushed no sensor context"
-	reasonStaleCtx   = "sensitive instruction rejected (fail closed): home sensor context is beyond its freshness budget"
-	reasonPullFailed = "sensitive instruction rejected (fail closed): home context pull failed and no fresh pushed context"
-	reasonLowTrust   = "sensitive instruction rejected (fail closed): home context source below trust threshold"
-	reasonSeqAnomaly = "sensitive instruction rejected (fail closed): instruction sequence outside trained temporal profile"
-)
-
 // Config wires a fleet.
 type Config struct {
 	// Detector is the shared sensitive-command detector (sensitivity is a
@@ -64,22 +54,20 @@ type Config struct {
 }
 
 // Fleet is a sharded multi-tenant authorization service: per-home state
-// spread over consistent-hash shards, one shared judger over the shared
-// model registry.
+// spread over consistent-hash shards, one shared verdict stage over the
+// shared model registry.
 type Fleet struct {
-	shards   []shard
-	detector *core.Detector
-	judger   *core.Judger
-	models   *ModelRegistry
-	metrics  *fleetMetrics
-	now      func() time.Time
+	shards  []shard
+	verdict *core.VerdictStage
+	models  *ModelRegistry
+	metrics *fleetMetrics
+	now     func() time.Time
 
 	logCap     int
 	freshFor   time.Duration
 	tenantCap  int
 	homeCount  atomic.Int64
 	tenantSeen atomic.Int64
-	seqAnoms   atomic.Uint64
 }
 
 // shard owns a disjoint subset of the fleet's homes. The RWMutex guards
@@ -114,14 +102,18 @@ func New(cfg Config) (*Fleet, error) {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	j, err := core.NewJudger(cfg.Detector, cfg.Models)
+	var seqAnoms *obs.Counter
+	if cfg.Metrics != nil {
+		seqAnoms = cfg.Metrics.NewCounter(metricSeqAnomalies,
+			"Sensitive instructions rejected fleet-wide by the sequence judge after the static tree allowed them.")
+	}
+	v, err := core.NewVerdictStage(cfg.Detector, cfg.Models, cfg.Now, seqAnoms)
 	if err != nil {
 		return nil, err
 	}
 	f := &Fleet{
 		shards:    make([]shard, cfg.Shards),
-		detector:  cfg.Detector,
-		judger:    j,
+		verdict:   v,
 		models:    cfg.Models,
 		metrics:   newFleetMetrics(cfg.Metrics, cfg.Shards),
 		now:       cfg.Now,
@@ -183,7 +175,7 @@ type Home struct {
 	shardIdx  uint32
 	freshFor  time.Duration
 	view      atomic.Pointer[homeView]
-	log       homeLog
+	log       *core.DecisionLog
 	collector core.Collector
 	breaker   *resilience.Breaker
 
@@ -200,7 +192,7 @@ type Home struct {
 
 	pushes    atomic.Uint64
 	decisions atomic.Uint64
-	tenant    [outcomeCount]*obs.Counter // nil cells when not individually instrumented
+	tenant    [core.OutcomeCount]*obs.Counter // nil cells when not individually instrumented
 }
 
 // homeView is one immutable published context: the snapshot plus the
@@ -250,6 +242,7 @@ func (f *Fleet) AddHome(cfg HomeConfig) (*Home, error) {
 		collector: cfg.Collector,
 		breaker:   cfg.Breaker,
 		seqSet:    cfg.Sequence,
+		log:       core.NewDecisionLog(f.logCap, nil, nil),
 	}
 	if cfg.Trust != nil {
 		src := cfg.TrustSource
@@ -267,7 +260,6 @@ func (f *Fleet) AddHome(cfg HomeConfig) (*Home, error) {
 		h.trustIdx = idx
 		h.trustSource = src
 	}
-	h.log.buf = make([]core.LogEntry, f.logCap)
 	s := &f.shards[si]
 	s.mu.Lock()
 	if _, dup := s.homes[cfg.ID]; dup {
@@ -391,7 +383,10 @@ func jumpHash(key uint64, buckets int) uint32 {
 // PushContext publishes a home's latest sensor context. This is the
 // event-driven write path: one immutable view behind an atomic pointer,
 // stamped with the fleet clock so freshness budgets difference receive
-// times, not device times.
+// times, not device times. Context never goes back in time: a push whose
+// event time is strictly before the current view's is dropped silently
+// (both stamps non-zero), the same rule epoch.Store applies — though an
+// armed trust engine still observes it, so replays still cost trust.
 func (f *Fleet) PushContext(id string, snap sensor.Snapshot) error {
 	h, ok := f.Home(id)
 	if !ok {
@@ -401,7 +396,7 @@ func (f *Fleet) PushContext(id string, snap sensor.Snapshot) error {
 	return nil
 }
 
-// push stores the view on a known home handle.
+// push stores the view on a known home handle, unless it is out of order.
 //
 //iot:hotpath
 func (f *Fleet) push(h *Home, snap sensor.Snapshot) {
@@ -416,8 +411,10 @@ func (f *Fleet) push(h *Home, snap sensor.Snapshot) {
 		}
 		h.trust.Observe(h.trustSource, snap, at) //iot:allow hotcall per-push trust scoring holds a lock by design; the authorize fast path never calls it
 	}
-	v := &homeView{snap: snap, at: now}
-	h.view.Store(v)
+	if cur := h.view.Load(); cur != nil && !snap.At.IsZero() && !cur.snap.At.IsZero() && snap.At.Before(cur.snap.At) {
+		return
+	}
+	h.view.Store(&homeView{snap: snap, at: now})
 	h.pushes.Add(1)
 	f.metrics.observePush()
 }
@@ -441,115 +438,65 @@ func (f *Fleet) Authorize(ctx context.Context, homeID string, in instr.Instructi
 	return f.authorizeHome(ctx, h, in)
 }
 
-// authorizeHome judges against the home's published view, falling into the
-// degraded path when the view is missing or beyond its freshness budget.
+// authorizeHome judges against the home's published view. Every degraded
+// shape — no view, a stale one, a failed pull, a low-trust source — hands
+// the verdict stage its interned reason: sensitive instructions fail
+// closed, non-sensitive ones are still judged on whatever the home last
+// pushed — the same bounded-staleness / fail-closed trade the single-home
+// framework makes.
 //
 //iot:hotpath
 //iot:failclosed
 func (f *Fleet) authorizeHome(ctx context.Context, h *Home, in instr.Instruction) (core.Decision, error) {
 	v := h.view.Load()
-	if v == nil || (h.freshFor > 0 && f.now().Sub(v.at) > h.freshFor) {
-		return f.authorizeDegraded(ctx, h, in, v)
-	}
-	if h.trust != nil && !h.trust.TrustedIdx(h.trustIdx) {
+	var snap sensor.Snapshot
+	var why core.FailReason
+	switch {
+	case v == nil || (h.freshFor > 0 && f.now().Sub(v.at) > h.freshFor):
+		snap, why = f.degradedView(ctx, h, v)
+	case h.LowTrust():
 		// Fresh but not believable: a spoofed feed that keeps pushing is
-		// the one degraded shape freshness budgets cannot see. Same
-		// contract as the other degraded paths — sensitive fails closed
-		// with an interned reason, non-sensitive still judges.
-		if f.detector.IsSensitive(in) {
-			dec := core.Decision{Allowed: false, Sensitive: true, Reason: reasonLowTrust}
-			f.observe(h, in, dec, outcomeFailClosed)
-			return dec, nil
-		}
-		return f.judgeNonSensitive(h, in, v)
+		// the one degraded shape freshness budgets cannot see.
+		snap, why = v.snap, core.ReasonLowTrust
+	default:
+		snap = v.snap
 	}
-	return f.judgeAndLog(h, in, v.snap)
-}
-
-// judgeAndLog runs the shared judger and records the decision in the
-// home's ring log, the shard decision counters, and the per-tenant cells.
-//
-//iot:hotpath
-//iot:failclosed
-func (f *Fleet) judgeAndLog(h *Home, in instr.Instruction, snap sensor.Snapshot) (core.Decision, error) {
-	dec, err := f.judger.Judge(in, snap)
+	dec, outcome, err := f.verdict.Decide(in, snap, why, h.seqSet, &h.seqTrack)
 	if err != nil {
 		return core.Decision{}, err
 	}
-	if h.seqSet != nil {
-		// Combined verdict, fail closed: the sequence judge can only
-		// revoke an allow. The tracker write is a fixed ring slot under the
-		// home's sequence mutex — no allocation.
-		at := snap.At
-		if at.IsZero() {
-			at = f.now()
-		}
-		if v := h.seqSet.ObserveJudge(&h.seqTrack, dec.Model, dec.Sensitive, dec.Allowed, snap, at); v.Anomalous {
-			dec = core.Decision{Allowed: false, Sensitive: true, Model: dec.Model, Reason: reasonSeqAnomaly}
-			f.seqAnoms.Add(1)
-			f.metrics.observeSeqAnomaly()
-		}
+	h.decisions.Add(1)
+	h.log.Append(in, dec)
+	f.metrics.observeDecision(h.shardIdx, outcome)
+	if c := h.tenant[outcome]; c != nil {
+		c.Inc()
 	}
-	f.observe(h, in, dec, outcomeOf(dec))
 	return dec, nil
 }
 
 // SeqAnomalies reports how many sensitive instructions the sequence judge
 // rejected fleet-wide after the static tree allowed them.
-func (f *Fleet) SeqAnomalies() uint64 { return f.seqAnoms.Load() }
+func (f *Fleet) SeqAnomalies() uint64 { return f.verdict.SeqAnomalies() }
 
-// observe is the shared decision bookkeeping tail.
-//
-//iot:hotpath
-func (f *Fleet) observe(h *Home, in instr.Instruction, dec core.Decision, outcome int) {
-	h.decisions.Add(1)
-	h.log.append(in, dec)
-	f.metrics.observeDecision(h.shardIdx, outcome)
-	if c := h.tenant[outcome]; c != nil {
-		c.Inc()
-	}
-}
-
-// authorizeDegraded is the cold path: no pushed context, or a stale one.
-// With a pull collector wired the fleet falls back to polling (behind the
-// home's breaker); a failed pull is the same epistemic state as no
-// context at all, so every degraded shape converges on one contract:
-// sensitive instructions fail closed with an interned reason (recorded in
-// the ring log and the fail_closed counters like any other decision),
-// non-sensitive instructions are still judged on whatever the home last
-// pushed — the same bounded-staleness / fail-closed trade the single-home
-// framework makes.
-//
-//iot:failclosed
-func (f *Fleet) authorizeDegraded(ctx context.Context, h *Home, in instr.Instruction, v *homeView) (core.Decision, error) {
-	reason := reasonNoContext
+// degradedView is the cold path: no pushed context, or a stale one. With a
+// pull collector wired the fleet polls (behind the home's breaker), and a
+// successful pull is healthy context. Otherwise it returns the last pushed
+// snapshot, if any, with the reason sensitive instructions fail closed on:
+// a failed pull is the same epistemic state as no context at all.
+func (f *Fleet) degradedView(ctx context.Context, h *Home, v *homeView) (sensor.Snapshot, core.FailReason) {
+	var snap sensor.Snapshot
+	why := core.ReasonNoContext
 	if v != nil {
-		reason = reasonStaleCtx
+		snap, why = v.snap, core.ReasonStale
 	}
 	if h.collector != nil {
-		snap, err := f.collectPull(ctx, h)
+		pulled, err := f.collectPull(ctx, h)
 		if err == nil {
-			return f.judgeAndLog(h, in, snap)
+			return pulled, core.FailReason{}
 		}
-		reason = reasonPullFailed
+		why = core.ReasonPullFailed
 	}
-	if !f.detector.IsSensitive(in) {
-		return f.judgeNonSensitive(h, in, v)
-	}
-	dec := core.Decision{Allowed: false, Sensitive: true, Reason: reason}
-	f.observe(h, in, dec, outcomeFailClosed)
-	return dec, nil
-}
-
-// judgeNonSensitive judges a non-sensitive instruction on the last pushed
-// view (possibly stale, possibly absent — the judger allows non-sensitive
-// instructions without consulting features).
-func (f *Fleet) judgeNonSensitive(h *Home, in instr.Instruction, v *homeView) (core.Decision, error) {
-	var snap sensor.Snapshot
-	if v != nil {
-		snap = v.snap
-	}
-	return f.judgeAndLog(h, in, snap)
+	return snap, why
 }
 
 // collectPull polls the home's collector, guarded by its breaker.
@@ -645,57 +592,8 @@ func (f *Fleet) AuthorizeBatch(ctx context.Context, items []BatchItem, workers i
 	return out, nil
 }
 
-// homeLog is a per-home bounded ring of decisions — the tenant's audit
-// tail. Appends take the home's own mutex only, so logging never couples
-// tenants; a zero capacity disables retention entirely.
-type homeLog struct {
-	mu   sync.Mutex
-	buf  []core.LogEntry
-	next uint64
-}
-
-// append records one decision (no-op at zero capacity).
-//
-//iot:hotpath
-func (l *homeLog) append(in instr.Instruction, dec core.Decision) {
-	if len(l.buf) == 0 {
-		return
-	}
-	l.mu.Lock()
-	l.next++
-	l.buf[(l.next-1)%uint64(len(l.buf))] = core.LogEntry{
-		Seq: l.next, Op: in.Op, DeviceID: in.DeviceID, Decision: dec,
-	}
-	l.mu.Unlock()
-}
-
-// snapshot copies the retained entries, oldest first.
-func (l *homeLog) snapshot() []core.LogEntry {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := l.next
-	retained := uint64(len(l.buf))
-	if n < retained {
-		retained = n
-	}
-	out := make([]core.LogEntry, 0, retained)
-	for j := n - retained; j < n; j++ {
-		out = append(out, l.buf[j%uint64(len(l.buf))])
-	}
-	return out
-}
-
 // Log returns a copy of the home's retained decisions, oldest first.
-func (h *Home) Log() []core.LogEntry { return h.log.snapshot() }
+func (h *Home) Log() []core.LogEntry { return h.log.Snapshot() }
 
 // LogRecent returns the newest n retained decisions, oldest first.
-func (h *Home) LogRecent(n int) []core.LogEntry {
-	all := h.log.snapshot()
-	if n < 0 {
-		n = 0
-	}
-	if n > len(all) {
-		n = len(all)
-	}
-	return all[len(all)-n:]
-}
+func (h *Home) LogRecent(n int) []core.LogEntry { return h.log.Recent(n) }

@@ -195,7 +195,7 @@ func TestFleetFailClosedNoContext(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Authorize: %v", err)
 	}
-	if dec.Allowed || !dec.Sensitive || dec.Reason != reasonNoContext {
+	if dec.Allowed || !dec.Sensitive || dec.Reason != core.ReasonNoContext.String() {
 		t.Fatalf("sensitive op without context: got %+v, want fail-closed rejection", dec)
 	}
 }
@@ -226,7 +226,7 @@ func TestFleetFailClosedStaleContext(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Authorize (stale): %v", err)
 	}
-	if dec.Allowed || dec.Reason != reasonStaleCtx {
+	if dec.Allowed || dec.Reason != core.ReasonStale.String() {
 		t.Fatalf("beyond budget: got %+v, want stale fail-closed rejection", dec)
 	}
 
@@ -408,10 +408,10 @@ func TestFleetPullCollectorFailure(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Authorize: %v", err)
 	}
-	if dec.Allowed || !dec.Sensitive || dec.Reason != reasonPullFailed {
+	if dec.Allowed || !dec.Sensitive || dec.Reason != core.ReasonPullFailed.String() {
 		t.Fatalf("sensitive with failing collector = %+v, want pull-failure fail-closed rejection", dec)
 	}
-	if got := h.Log(); len(got) != 1 || got[0].Decision.Reason != reasonPullFailed {
+	if got := h.Log(); len(got) != 1 || got[0].Decision.Reason != core.ReasonPullFailed.String() {
 		t.Fatalf("ring log after degraded rejection = %+v, want the fail-closed decision recorded", got)
 	}
 	// Non-sensitive traffic survives the dead gateway.
@@ -437,7 +437,7 @@ func TestFleetPullCollectorBreaker(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Authorize %d: %v", i, err)
 		}
-		if dec.Allowed || dec.Reason != reasonPullFailed {
+		if dec.Allowed || dec.Reason != core.ReasonPullFailed.String() {
 			t.Fatalf("Authorize %d with dead collector = %+v, want fail-closed rejection", i, dec)
 		}
 	}
@@ -596,7 +596,7 @@ func TestFleetDuplicateAddHomeKeepsTenantSlot(t *testing.T) {
 		t.Fatal("duplicate AddHome succeeded")
 	}
 	h := mustAddHome(t, f, HomeConfig{ID: "second"})
-	if h.tenant[outcomeAllow] == nil {
+	if h.tenant[core.OutcomeAllow] == nil {
 		t.Fatal("second home got no tenant cells: the rejected duplicate burned a capped slot")
 	}
 }
@@ -636,3 +636,63 @@ func TestJumpHashProperties(t *testing.T) {
 		t.Fatalf("%d of 16000 keys moved when shards grew 16→17, want ~%d", moved, 16000/17)
 	}
 }
+
+// TestPushDropsOutOfOrderContext: context never goes back in time. A push
+// stamped strictly before the home's view is dropped (as epoch.Store drops
+// it) without an error; equal and unstamped pushes are accepted; a batch
+// item whose inline context is dropped is judged on the newer view; and an
+// armed trust engine still observes every dropped replay.
+func TestPushDropsOutOfOrderContext(t *testing.T) {
+	stamped := func(s sensor.Snapshot, sec int64) sensor.Snapshot {
+		s = s.Clone()
+		s.At = time.Unix(sec, 0)
+		return s
+	}
+	legal, attack := legalCtx(t, dataset.ModelWindow), attackCtx(t, dataset.ModelWindow)
+	open := buildInstr(t, "window.open", "window-1")
+	f := fleetForTest(t, Config{})
+	h := mustAddHome(t, f, HomeConfig{ID: "h"})
+	viewAt := func() int64 { return h.view.Load().snap.At.Unix() }
+
+	if err := f.PushContext("h", stamped(legal, 2000)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.PushContext("h", stamped(attack, 1000)); err != nil {
+		t.Fatalf("out-of-order push must be dropped silently, got %v", err)
+	}
+	if got := viewAt(); got != 2000 || h.Pushes() != 1 {
+		t.Fatalf("view at %d after %d pushes, want the At=2000 view from 1", got, h.Pushes())
+	}
+	if dec, err := f.Authorize(context.Background(), "h", open); err != nil || !dec.Allowed {
+		t.Fatalf("judged on the replayed attack scene: %+v, %v", dec, err)
+	}
+
+	// Equal stamps are accepted: a scene re-pushed at the same tick.
+	if err := f.PushContext("h", stamped(attack, 2000)); err != nil || h.Pushes() != 2 {
+		t.Fatalf("equal-stamp push: err %v, %d pushes", err, h.Pushes())
+	}
+	out, err := f.AuthorizeBatch(context.Background(), []BatchItem{{Home: "h", In: open, Context: ptr(stamped(legal, 1500))}}, 1)
+	if err != nil || out[0].Err != "" {
+		t.Fatalf("batch: %v %+v", err, out)
+	}
+	if out[0].Decision.Allowed || viewAt() != 2000 {
+		t.Fatalf("stale inline context judged instead of the newer view: %+v (view at %d)", out[0].Decision, viewAt())
+	}
+	// An unstamped push carries no order and is accepted.
+	if err := f.PushContext("h", legal.Clone()); err != nil || h.Pushes() != 3 {
+		t.Fatalf("unstamped push: err %v, %d pushes", err, h.Pushes())
+	}
+
+	armed := mustAddHome(t, f, HomeConfig{ID: "armed", Trust: trustEngine(t)})
+	for _, sec := range []int64{3000, 2990, 2980} {
+		if err := f.PushContext("armed", stamped(legal, sec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if armed.Pushes() != 1 || !armed.LowTrust() {
+		score, _ := armed.TrustScore()
+		t.Fatalf("replays: %d pushes stored, trust %v — want 1 stored and the engine collapsed", armed.Pushes(), score)
+	}
+}
+
+func ptr[T any](v T) *T { return &v }

@@ -23,29 +23,17 @@ const (
 	metricSeqAnomalies  = "iotsid_fleet_seq_anomalies_total"
 )
 
-// Decision outcome indices for the pre-registered counter cells (same
-// vocabulary as the core framework metrics).
-const (
-	outcomeAllow = iota
-	outcomeReject
-	outcomeFailClosed
-	outcomeCount
-)
-
-var outcomeNames = [outcomeCount]string{"allow", "reject", "fail_closed"}
-
 // fleetMetrics holds the fleet's pre-registered series: one
 // (shard, outcome) counter cell per shard so the hot path counts itself
 // with a single atomic add and zero lookups. A nil *fleetMetrics disables
 // instrumentation; every method is nil-receiver safe.
 type fleetMetrics struct {
-	homes        *obs.Gauge
-	pushes       *obs.Counter
-	decisions    [][outcomeCount]*obs.Counter // [shard][outcome]
-	batches      *obs.Counter
-	batchItems   *obs.Counter
-	tenants      *obs.CounterVec
-	seqAnomalies *obs.Counter
+	homes      *obs.Gauge
+	pushes     *obs.Counter
+	decisions  [][core.OutcomeCount]*obs.Counter // [shard][outcome]
+	batches    *obs.Counter
+	batchItems *obs.Counter
+	tenants    *obs.CounterVec
 }
 
 // newFleetMetrics pre-registers the fleet series for a given shard count.
@@ -65,17 +53,15 @@ func newFleetMetrics(reg *obs.Registry, shards int) *fleetMetrics {
 		tenants: reg.NewCounterVec(metricTenantDecided,
 			"Authorization decisions by home and outcome (registered for the first TenantMetricsLimit homes only — the label is capped, not fleet-wide).",
 			"home", "outcome"),
-		seqAnomalies: reg.NewCounter(metricSeqAnomalies,
-			"Sensitive instructions rejected fleet-wide by the sequence judge after the static tree allowed them."),
 	}
 	vec := reg.NewCounterVec(metricDecisions,
 		"Authorization decisions by fleet shard and outcome (allow, reject, fail_closed).",
 		"shard", "outcome")
-	m.decisions = make([][outcomeCount]*obs.Counter, shards)
+	m.decisions = make([][core.OutcomeCount]*obs.Counter, shards)
 	for s := 0; s < shards; s++ {
 		label := strconv.Itoa(s)
-		for o := 0; o < outcomeCount; o++ {
-			m.decisions[s][o] = vec.With(label, outcomeNames[o])
+		for o := core.Outcome(0); o < core.OutcomeCount; o++ {
+			m.decisions[s][o] = vec.With(label, o.String())
 		}
 	}
 	return m
@@ -83,29 +69,21 @@ func newFleetMetrics(reg *obs.Registry, shards int) *fleetMetrics {
 
 // tenantCells pre-resolves one home's (outcome) counter cells; called at
 // AddHome time for the first TenantMetricsLimit homes.
-func (m *fleetMetrics) tenantCells(home string) [outcomeCount]*obs.Counter {
-	var cells [outcomeCount]*obs.Counter
+func (m *fleetMetrics) tenantCells(home string) [core.OutcomeCount]*obs.Counter {
+	var cells [core.OutcomeCount]*obs.Counter
 	if m == nil {
 		return cells
 	}
-	for o := 0; o < outcomeCount; o++ {
-		cells[o] = m.tenants.With(home, outcomeNames[o])
+	for o := core.Outcome(0); o < core.OutcomeCount; o++ {
+		cells[o] = m.tenants.With(home, o.String())
 	}
 	return cells
-}
-
-// outcomeOf maps a judged decision onto the counter row.
-func outcomeOf(dec core.Decision) int {
-	if dec.Allowed {
-		return outcomeAllow
-	}
-	return outcomeReject
 }
 
 // observeDecision counts one judged decision on its shard row.
 //
 //iot:hotpath
-func (m *fleetMetrics) observeDecision(shard uint32, outcome int) {
+func (m *fleetMetrics) observeDecision(shard uint32, outcome core.Outcome) {
 	if m == nil {
 		return
 	}
@@ -120,16 +98,6 @@ func (m *fleetMetrics) observePush() {
 		return
 	}
 	m.pushes.Inc()
-}
-
-// observeSeqAnomaly counts one sequence-judge rejection.
-//
-//iot:hotpath
-func (m *fleetMetrics) observeSeqAnomaly() {
-	if m == nil {
-		return
-	}
-	m.seqAnomalies.Inc()
 }
 
 // observeBatch counts one batch and its item load.

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"iotsid/internal/core"
 	"iotsid/internal/dataset"
 	"iotsid/internal/obs"
 	"iotsid/internal/sensor"
@@ -83,7 +84,7 @@ func TestFleetTrustFailClosed(t *testing.T) {
 	if dec.Allowed {
 		t.Fatal("sensitive instruction allowed on a low-trust home")
 	}
-	if dec.Reason != reasonLowTrust {
+	if dec.Reason != core.ReasonLowTrust.String() {
 		t.Fatalf("reason = %q, want the interned low-trust reason", dec.Reason)
 	}
 
@@ -199,7 +200,7 @@ func TestFleetTrustFailClosedAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if dec.Allowed || dec.Reason != reasonLowTrust {
+		if dec.Allowed || dec.Reason != core.ReasonLowTrust.String() {
 			t.Fatalf("low-trust home decision: %+v", dec)
 		}
 	})

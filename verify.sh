@@ -75,6 +75,11 @@ go test -race -count=1 ./internal/obs/
 go test -count=1 -run '^$' -fuzz '^FuzzMetricName$' -fuzztime 10s ./internal/obs/
 go test -count=1 -run '^$' -fuzz '^FuzzLabelEscape$' -fuzztime 10s ./internal/obs/
 
+# Wire-codec gate: every pushed or inline context crosses the sensor
+# snapshot's custom JSON codec — hostile bytes must never panic it, and
+# whatever it decodes must round-trip to the same snapshot.
+go test -count=1 -run '^$' -fuzz '^FuzzSnapshotJSON$' -fuzztime 10s ./internal/sensor/
+
 # Fleet gate: the multi-tenant layer is sharded concurrent state shared by
 # every tenant — run its whole suite (concurrent push/authorize hammer,
 # shard-rebalance and worker-count determinism, COW registry swaps) and the
