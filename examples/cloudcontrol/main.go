@@ -52,11 +52,11 @@ func run() error {
 	}
 
 	srv, err := cloud.NewServer(cloud.Config{
-		Users:    map[string]string{"alice": "correct-horse"},
-		Registry: instr.BuiltinRegistry(),
-		Forward:  h.Execute,
-		Gate:     framework.Gate,
-		Context:  collector.Collect,
+		Users:     map[string]string{"alice": "correct-horse"},
+		Registry:  instr.BuiltinRegistry(),
+		Forward:   h.Execute,
+		Gate:      framework.Gate,
+		Collector: collector,
 	})
 	if err != nil {
 		return err

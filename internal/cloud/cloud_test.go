@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"iotsid/internal/core"
 	"iotsid/internal/instr"
 	"iotsid/internal/sensor"
 )
@@ -45,11 +46,11 @@ func startCloud(t *testing.T, gate Gate) (*Server, *captureForwarder) {
 	}
 	if gate != nil {
 		cfg.Gate = gate
-		cfg.Context = func(context.Context) (sensor.Snapshot, error) {
+		cfg.Collector = core.CollectorFunc(func(context.Context) (sensor.Snapshot, error) {
 			s := sensor.NewSnapshot(sensorZero())
 			s.Set(sensor.FeatSmoke, sensor.Bool(false))
 			return s, nil
-		}
+		})
 	}
 	srv, err := NewServer(cfg)
 	if err != nil {
@@ -190,7 +191,9 @@ func TestCloudGateContextUnavailable(t *testing.T) {
 		Registry: instr.BuiltinRegistry(),
 		Forward:  fwd.forward,
 		Gate:     func(instr.Instruction, sensor.Snapshot) error { return nil },
-		Context:  func(context.Context) (sensor.Snapshot, error) { return sensor.Snapshot{}, errors.New("collector down") },
+		Collector: core.CollectorFunc(func(context.Context) (sensor.Snapshot, error) {
+			return sensor.Snapshot{}, errors.New("collector down")
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -247,7 +250,7 @@ func TestServerConfigValidation(t *testing.T) {
 		{Registry: reg, Forward: fwd},                       // no users
 		{Users: map[string]string{"a": "b"}, Forward: fwd},  // no registry
 		{Users: map[string]string{"a": "b"}, Registry: reg}, // no forwarder
-		{Users: map[string]string{"a": "b"}, Registry: reg, Forward: fwd, // gate without context
+		{Users: map[string]string{"a": "b"}, Registry: reg, Forward: fwd, // gate without collector
 			Gate: func(instr.Instruction, sensor.Snapshot) error { return nil }},
 	}
 	for i, cfg := range cases {
@@ -340,51 +343,5 @@ func TestLoginLockout(t *testing.T) {
 		if err := c.Login("ghost", "x"); !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusUnauthorized {
 			t.Fatalf("ghost login %d: %v", i, err)
 		}
-	}
-}
-
-// TestCachedContextSharesCollections proves ContextTTL makes a burst of
-// commands share one collector round trip instead of one each.
-func TestCachedContextSharesCollections(t *testing.T) {
-	fwd := &captureForwarder{}
-	var mu sync.Mutex
-	collects := 0
-	cfg := Config{
-		Users:    map[string]string{"alice": "s3cret"},
-		Registry: instr.BuiltinRegistry(),
-		Forward:  fwd.forward,
-		Gate:     func(in instr.Instruction, ctx sensor.Snapshot) error { return nil },
-		Context: func(context.Context) (sensor.Snapshot, error) {
-			mu.Lock()
-			collects++
-			mu.Unlock()
-			s := sensor.NewSnapshot(sensorZero())
-			s.Set(sensor.FeatSmoke, sensor.Bool(false))
-			return s, nil
-		},
-		ContextTTL: time.Minute,
-	}
-	srv, err := NewServer(cfg)
-	if err != nil {
-		t.Fatalf("NewServer: %v", err)
-	}
-	t.Cleanup(func() { _ = srv.Close() })
-	if err := srv.BindDevice("window-1", "alice"); err != nil {
-		t.Fatal(err)
-	}
-	c := login(t, srv, "alice", "s3cret")
-	for i := 0; i < 8; i++ {
-		if err := c.Command("window.open", "window-1", nil); err != nil {
-			t.Fatalf("Command %d: %v", i, err)
-		}
-	}
-	mu.Lock()
-	got := collects
-	mu.Unlock()
-	if got != 1 {
-		t.Errorf("context collected %d times for 8 commands, want 1", got)
-	}
-	if fwd.count() != 8 {
-		t.Errorf("forwarded = %d", fwd.count())
 	}
 }

@@ -21,10 +21,10 @@ import (
 
 // TestMetricsEndpointExposition is the end-to-end observability check: a
 // cloud wired the way cmd/iotsidd wires it (framework + multi-source
-// collector + context cache sharing one registry) serves a valid Prometheus
-// exposition on GET /metrics covering every instrumented subsystem —
-// authorization decisions, per-source collector provenance, breaker
-// transitions, cache results, and worker-pool utilization.
+// collector sharing one registry) serves a valid Prometheus exposition on
+// GET /metrics covering every instrumented subsystem — authorization
+// decisions, per-source collector provenance, breaker transitions, and
+// worker-pool utilization.
 func TestMetricsEndpointExposition(t *testing.T) {
 	// The pool metrics register on the process-default registry, so the
 	// endpoint must serve that registry to cover them — same as production.
@@ -79,14 +79,13 @@ func TestMetricsEndpointExposition(t *testing.T) {
 
 	fwd := &captureForwarder{}
 	srv, err := NewServer(Config{
-		Users:      map[string]string{"alice": "s3cret"},
-		Registry:   instr.BuiltinRegistry(),
-		Forward:    fwd.forward,
-		Gate:       f.Gate,
-		Context:    multi.Collect,
-		ContextTTL: time.Minute,
-		Metrics:    reg,
-		Pprof:      true,
+		Users:     map[string]string{"alice": "s3cret"},
+		Registry:  instr.BuiltinRegistry(),
+		Forward:   fwd.forward,
+		Gate:      f.Gate,
+		Collector: multi,
+		Metrics:   reg,
+		Pprof:     true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +95,8 @@ func TestMetricsEndpointExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := login(t, srv, "alice", "s3cret")
-	// Two commands: the first collect is a cache miss, the second a hit.
+	// Two commands: the first trips aux's breaker, the second collects
+	// behind it.
 	for i := 0; i < 2; i++ {
 		if err := c.Command("window.open", "window-1", nil); err != nil {
 			t.Fatalf("command %d: %v", i, err)
@@ -142,8 +142,6 @@ func TestMetricsEndpointExposition(t *testing.T) {
 		`iotsid_collector_source_collects_total{source="sim",state="`, // provenance
 		`iotsid_collector_retry_attempts_total{source="aux"}`,         // retries
 		`iotsid_breaker_transitions_total{name="aux",to="open"} 1`,    // breaker
-		`iotsid_cache_collects_total{result="miss"}`,                  // context cache
-		`iotsid_cache_collects_total{result="hit"}`,                   // cache fast path
 		"iotsid_par_runs_total",                                       // worker pool
 		"iotsid_par_workers_busy",                                     // pool gauge
 	} {
@@ -155,10 +153,13 @@ func TestMetricsEndpointExposition(t *testing.T) {
 		t.Fatal("aux source was never collected; the resilience series are vacuous")
 	}
 
-	// The breaker tripped on the first command; the second command must
-	// have been short-circuited without touching aux (cache hit anyway).
+	// The breaker tripped on the first command (two attempts); the second
+	// command must have been short-circuited without touching aux.
 	if got := breaker.State(); got != resilience.StateOpen {
 		t.Fatalf("breaker state %v, want open", got)
+	}
+	if auxCalls != 2 {
+		t.Fatalf("aux collected %d times, want 2 (one command's retries, then the open breaker)", auxCalls)
 	}
 
 	// pprof is mounted on the same mux.

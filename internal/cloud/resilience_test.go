@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"iotsid/internal/core"
 	"iotsid/internal/instr"
 	"iotsid/internal/resilience"
 	"iotsid/internal/sensor"
@@ -146,11 +147,11 @@ func TestCommandRetryAfterWhenBreakerOpen(t *testing.T) {
 		Registry: instr.BuiltinRegistry(),
 		Forward:  fwd.forward,
 		Gate:     func(instr.Instruction, sensor.Snapshot) error { return nil },
-		Context: func(context.Context) (sensor.Snapshot, error) {
+		Collector: core.CollectorFunc(func(context.Context) (sensor.Snapshot, error) {
 			// What MultiCollector's strict path returns while the breaker
 			// guarding a required source is open.
 			return sensor.Snapshot{}, fmt.Errorf("core: required source(s) miio unavailable: %w", open)
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -190,10 +191,10 @@ func TestCommandContextTimeout(t *testing.T) {
 		Registry: instr.BuiltinRegistry(),
 		Forward:  fwd.forward,
 		Gate:     func(instr.Instruction, sensor.Snapshot) error { return nil },
-		Context: func(ctx context.Context) (sensor.Snapshot, error) {
+		Collector: core.CollectorFunc(func(ctx context.Context) (sensor.Snapshot, error) {
 			<-ctx.Done() // the hung gateway: only the deadline releases it
 			return sensor.Snapshot{}, ctx.Err()
-		},
+		}),
 		ContextTimeout: 50 * time.Millisecond,
 	})
 	if err != nil {
@@ -215,5 +216,32 @@ func TestCommandContextTimeout(t *testing.T) {
 	}
 	if fwd.count() != 0 {
 		t.Error("command forwarded without context")
+	}
+}
+
+// TestServerTimeoutsCoverContextTimeout: the HTTP server bounds header
+// reads, whole-request reads, idle keep-alives and response writes, and
+// the write timeout outlasts the context-collection budget so the 503 for
+// a slow collection is still written.
+func TestServerTimeoutsCoverContextTimeout(t *testing.T) {
+	for _, budget := range []time.Duration{0, 50 * time.Millisecond, time.Minute} {
+		srv, err := NewServer(Config{
+			Users:          map[string]string{"alice": "s3cret"},
+			Registry:       instr.BuiltinRegistry(),
+			Forward:        func(instr.Instruction) error { return nil },
+			ContextTimeout: budget,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := srv.http
+		_ = srv.Close()
+		if h.ReadHeaderTimeout <= 0 || h.ReadTimeout <= 0 || h.IdleTimeout <= 0 || h.WriteTimeout <= 0 {
+			t.Fatalf("budget %v: timeouts header=%v read=%v idle=%v write=%v, want all set",
+				budget, h.ReadHeaderTimeout, h.ReadTimeout, h.IdleTimeout, h.WriteTimeout)
+		}
+		if h.WriteTimeout <= srv.cfg.ContextTimeout {
+			t.Errorf("budget %v: WriteTimeout %v <= ContextTimeout %v", budget, h.WriteTimeout, srv.cfg.ContextTimeout)
+		}
 	}
 }

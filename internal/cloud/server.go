@@ -40,10 +40,6 @@ type Forwarder func(in instr.Instruction) error
 // forwarding; a non-nil error rejects it. This is the IDS hook.
 type Gate func(in instr.Instruction, ctx sensor.Snapshot) error
 
-// ContextSource supplies the sensor context the gate judges against. The
-// context carries the request's deadline and cancellation.
-type ContextSource func(ctx context.Context) (sensor.Snapshot, error)
-
 // HistoryEntry records one command submission.
 type HistoryEntry struct {
 	User     string    `json:"user"`
@@ -73,22 +69,11 @@ type Config struct {
 	Forward Forwarder
 	// Gate is the optional IDS hook.
 	Gate Gate
-	// Context supplies the snapshot the gate judges against; required
-	// when Gate is set (unless Collector is set instead).
-	Context ContextSource
-	// Collector, when non-nil, supplies the gate's context instead of
-	// Context — wire an event-driven core.EpochCollector here. It is
-	// mutually exclusive with Context and with ContextTTL: an epoch read
-	// is already a pointer dereference, caching it would only add
-	// staleness, so a config asking for both is rejected rather than
-	// silently resolved.
+	// Collector supplies the snapshot the gate judges against; required
+	// when Gate is set. The gate reads it through the strict Collect: a
+	// required source that is missing or below its trust threshold turns
+	// the command into a 503, never a judged pass.
 	Collector core.Collector
-	// ContextTTL, when positive, caches the gate's sensor context for
-	// that long and single-flights concurrent collections, so a burst of
-	// commands shares one collector round trip instead of issuing one
-	// each. Zero keeps every command collecting fresh context. Only valid
-	// with Context (not Collector).
-	ContextTTL time.Duration
 	// Fleet, when non-nil, mounts the multi-tenant endpoints:
 	// POST /v1/fleet/authorize (batch authorization across homes),
 	// POST /v1/fleet/context (per-home context pushes), and
@@ -101,7 +86,8 @@ type Config struct {
 	// /v1/fleet/authorize; 0 means GOMAXPROCS.
 	FleetWorkers int
 	// ContextTimeout bounds each command's context collection (default 10s)
-	// — a hung gateway turns into a 503, not a wedged handler.
+	// — a hung gateway turns into a 503, not a wedged handler. The server's
+	// write timeout is ContextTimeout plus a fixed margin.
 	ContextTimeout time.Duration
 	// Health, when non-nil, is reported at /healthz: 200 while every
 	// required sensor source is serving (fresh or within its staleness
@@ -114,12 +100,12 @@ type Config struct {
 	// Wire it to the engine the gate's collector observes into.
 	Trust *trust.Engine
 	// Metrics, when non-nil, is served as Prometheus text at GET /metrics
-	// (unauthenticated, like /healthz). The cloud's internal context cache
-	// (ContextTTL) registers its hit/miss/coalesced/stale counters here too.
+	// (unauthenticated, like /healthz).
 	Metrics *obs.Registry
 	// Pprof mounts net/http/pprof's profiling handlers under /debug/pprof/.
 	// The endpoints expose stack traces and heap contents — enable only on
-	// operator-facing listeners.
+	// operator-facing listeners. A CPU profile or trace must ask for fewer
+	// seconds than the server's write timeout (ContextTimeout + 5s).
 	Pprof bool
 	// Now stamps history entries; defaults to time.Now.
 	Now func() time.Time
@@ -158,29 +144,8 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.Forward == nil {
 		return nil, fmt.Errorf("cloud: server needs a forwarder")
 	}
-	if cfg.Gate != nil && cfg.Context == nil && cfg.Collector == nil {
-		return nil, fmt.Errorf("cloud: a gate needs a context source or a collector")
-	}
-	// Collector and Context are two answers to the same question; a config
-	// supplying both is ambiguous and a config TTL-wrapping a collector is
-	// asking to re-cache an epoch read. Both used to resolve silently
-	// (Collector won); now they are explicit errors.
-	if cfg.Collector != nil && cfg.Context != nil {
-		return nil, fmt.Errorf("cloud: Collector and Context are mutually exclusive — wire the gate's context through one of them")
-	}
-	if cfg.Collector != nil && cfg.ContextTTL > 0 {
-		return nil, fmt.Errorf("cloud: ContextTTL only applies to Context; a Collector (epoch read) must not be TTL-cached")
-	}
-	if cfg.Collector != nil {
-		cfg.Context = cfg.Collector.Collect
-	}
-	if cfg.Context != nil && cfg.ContextTTL > 0 {
-		cached, err := core.NewCachedCollector(core.CollectorFunc(cfg.Context), cfg.ContextTTL)
-		if err != nil {
-			return nil, err
-		}
-		cached.Instrument(cfg.Metrics) // nil registry is a no-op
-		cfg.Context = cached.Collect
+	if cfg.Gate != nil && cfg.Collector == nil {
+		return nil, fmt.Errorf("cloud: a gate needs a collector")
 	}
 	if cfg.ContextTimeout <= 0 {
 		cfg.ContextTimeout = 10 * time.Second
@@ -231,7 +196,13 @@ func NewServer(cfg Config) (*Server, error) {
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
-	s.http = &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
+	s.http = &http.Server{
+		Handler:           mux,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      cfg.ContextTimeout + writeTimeoutMargin,
+		IdleTimeout:       idleTimeout,
+	}
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
@@ -301,6 +272,18 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }
+
+// HTTP server timeouts. readTimeout bounds reading one whole request, a
+// maxBodyBytes body included; idleTimeout closes keep-alive connections
+// that sit unused. The write timeout is per server: ContextTimeout plus
+// writeTimeoutMargin, so the 503 for a collection that ran out its budget
+// is still written.
+const (
+	readHeaderTimeout  = 5 * time.Second
+	readTimeout        = 30 * time.Second
+	idleTimeout        = 2 * time.Minute
+	writeTimeoutMargin = 5 * time.Second
+)
 
 // maxBodyBytes bounds every JSON request body, so no handler reads an
 // unbounded body before checking it. The largest legitimate body is a
@@ -477,7 +460,7 @@ func (s *Server) handleCommand(w http.ResponseWriter, r *http.Request) {
 	// client when to come back via Retry-After.
 	if s.cfg.Gate != nil {
 		collectCtx, cancel := context.WithTimeout(r.Context(), s.cfg.ContextTimeout)
-		ctx, err := s.cfg.Context(collectCtx)
+		ctx, err := s.cfg.Collector.Collect(collectCtx)
 		cancel()
 		if err != nil {
 			s.record(user, req, OutcomeFailed, "context unavailable: "+err.Error())

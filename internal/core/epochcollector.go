@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"time"
 
 	"iotsid/internal/epoch"
@@ -187,18 +186,7 @@ func (c *EpochCollector) collectDegraded(v *epoch.View, now time.Time) (sensor.S
 	return v.Snap, prov, nil
 }
 
-// Collect implements Collector: the strict entry point, mirroring
-// MultiCollector.Collect. A degraded-but-serviceable view is returned; a
-// required source without a live push is an error.
+// Collect implements Collector: the strict entry point (see strictCollect).
 func (c *EpochCollector) Collect(ctx context.Context) (sensor.Snapshot, error) {
-	snap, prov, err := c.CollectDetailed(ctx)
-	if err != nil {
-		return sensor.Snapshot{}, err
-	}
-	if missing := prov.MissingRequired(); len(missing) > 0 {
-		cause := firstError(prov, missing)
-		return sensor.Snapshot{}, fmt.Errorf("core: required source(s) %s have no live push: %w",
-			strings.Join(missing, ", "), cause)
-	}
-	return snap, nil
+	return strictCollect(ctx, c)
 }

@@ -60,17 +60,6 @@ func TestFrameworkAuthorize(t *testing.T) {
 	}
 }
 
-// countingStatic wraps a fixed snapshot and counts Collect calls.
-type countingStatic struct {
-	snap  sensor.Snapshot
-	calls int
-}
-
-func (c *countingStatic) Collect(context.Context) (sensor.Snapshot, error) {
-	c.calls++
-	return c.snap, nil
-}
-
 func TestFrameworkLogBoundedAndRecent(t *testing.T) {
 	f, err := New(Config{
 		Detector:    detectorForTest(t),
@@ -101,28 +90,6 @@ func TestFrameworkLogBoundedAndRecent(t *testing.T) {
 	}
 	if recent[2].Seq != 1000 || recent[0].Seq != 998 {
 		t.Errorf("recent window = [%d..%d]", recent[0].Seq, recent[2].Seq)
-	}
-}
-
-func TestFrameworkWithCachedCollector(t *testing.T) {
-	inner := &countingStatic{snap: legalCtx(t, dataset.ModelWindow)}
-	cached, err := NewCachedCollector(inner, time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := frameworkForTest(t, cached)
-	in := buildInstr(t, "window.open", "window-1")
-	for i := 0; i < 25; i++ {
-		dec, err := f.Authorize(context.Background(), in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !dec.Allowed {
-			t.Fatalf("legal context rejected: %+v", dec)
-		}
-	}
-	if inner.calls != 1 {
-		t.Errorf("cached framework collected %d times, want 1", inner.calls)
 	}
 }
 

@@ -19,7 +19,6 @@ const (
 	metricLogEvictions = "iotsid_decision_log_evictions_total"
 	metricSourceState  = "iotsid_collector_source_collects_total"
 	metricRetries      = "iotsid_collector_retry_attempts_total"
-	metricCache        = "iotsid_cache_collects_total"
 	metricBreaker      = "iotsid_breaker_transitions_total"
 )
 
@@ -93,60 +92,5 @@ func BreakerTransitionHook(reg *obs.Registry, name string) func(from, to resilie
 		if int(to) >= 0 && int(to) < len(cells) {
 			cells[to].Inc()
 		}
-	}
-}
-
-// cacheMetrics is the CachedCollector's pre-registered result counters.
-type cacheMetrics struct {
-	hits      *obs.Counter // served from the fresh snapshot
-	misses    *obs.Counter // led an inner collect
-	coalesced *obs.Counter // waited on another caller's in-flight collect
-	stale     *obs.Counter // served the bounded-stale fallback after an error
-	errors    *obs.Counter // inner collect failed with no fallback
-}
-
-// newCacheMetrics pre-registers the cache result series.
-func newCacheMetrics(reg *obs.Registry) *cacheMetrics {
-	if reg == nil {
-		return nil
-	}
-	vec := reg.NewCounterVec(metricCache,
-		"CachedCollector results: hit, miss (led the inner collect), coalesced (shared an in-flight collect), stale (serve-stale-on-error fallback), error.",
-		"result")
-	return &cacheMetrics{
-		hits:      vec.With("hit"),
-		misses:    vec.With("miss"),
-		coalesced: vec.With("coalesced"),
-		stale:     vec.With("stale"),
-		errors:    vec.With("error"),
-	}
-}
-
-// The increment taps are nil-receiver safe like everything else in the
-// instrumentation layer, so the cache's hot path pays one branch when
-// uninstrumented.
-func (m *cacheMetrics) hit() {
-	if m != nil {
-		m.hits.Inc()
-	}
-}
-func (m *cacheMetrics) miss() {
-	if m != nil {
-		m.misses.Inc()
-	}
-}
-func (m *cacheMetrics) coalesce() {
-	if m != nil {
-		m.coalesced.Inc()
-	}
-}
-func (m *cacheMetrics) staleServe() {
-	if m != nil {
-		m.stale.Inc()
-	}
-}
-func (m *cacheMetrics) err() {
-	if m != nil {
-		m.errors.Inc()
 	}
 }

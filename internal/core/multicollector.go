@@ -129,10 +129,9 @@ type MultiConfig struct {
 	Metrics *obs.Registry
 	// Trust, when non-nil, scores every fresh collect through the
 	// behavioral trust engine (which must declare every source by name)
-	// and stamps the provenance with per-source scores. Note the engine
-	// sits *above* any caching collector: a cache legitimately serving
-	// one snapshot repeatedly will trip the engine's stuck-at (dwell)
-	// fingerprint by design — wire trust on raw feeds.
+	// and stamps the provenance with per-source scores. Wire it on raw
+	// feeds: a source serving one cached snapshot repeatedly trips the
+	// engine's stuck-at (dwell) fingerprint by design.
 	Trust *trust.Engine
 }
 
@@ -294,24 +293,31 @@ func (m *MultiCollector) SourceHistory(name string) (*sensor.History, bool) {
 	return nil, false
 }
 
-// Collect implements Collector: the strict entry point. Degraded-but-
-// serviceable contexts (every required source fresh or within budget) are
-// returned; a missing required source is an error, wrapping the source's
-// failure so breaker-open conditions (with their retry-after) surface to
-// the serving layer.
+// Collect implements Collector: the strict entry point (see strictCollect).
 func (m *MultiCollector) Collect(ctx context.Context) (sensor.Snapshot, error) {
-	snap, prov, err := m.CollectDetailed(ctx)
+	return strictCollect(ctx, m)
+}
+
+// strictCollect is the strict Collect both provenance-aware collectors
+// share, for callers that take a snapshot without its provenance (the
+// cloud's command gate). A degraded-but-serviceable context is returned;
+// a required source that is missing or below its trust threshold is an
+// error naming the source(s), the same conditions that fail a sensitive
+// instruction closed in Framework.Authorize. A missing source's failure is
+// wrapped, so breaker-open conditions (with their retry-after) surface to
+// the serving layer.
+func strictCollect(ctx context.Context, c DetailedCollector) (sensor.Snapshot, error) {
+	snap, prov, err := c.CollectDetailed(ctx)
 	if err != nil {
 		return sensor.Snapshot{}, err
 	}
 	if missing := prov.MissingRequired(); len(missing) > 0 {
-		cause := firstError(prov, missing)
-		if cause != nil {
-			return sensor.Snapshot{}, fmt.Errorf("core: required source(s) %s unavailable: %w",
-				strings.Join(missing, ", "), cause)
-		}
-		return sensor.Snapshot{}, fmt.Errorf("core: required source(s) %s unavailable",
-			strings.Join(missing, ", "))
+		return sensor.Snapshot{}, fmt.Errorf("core: required source(s) %s unavailable: %w",
+			strings.Join(missing, ", "), firstError(prov, missing))
+	}
+	if low := prov.LowTrustRequired(); len(low) > 0 {
+		return sensor.Snapshot{}, fmt.Errorf("core: required source(s) %s below trust threshold",
+			strings.Join(low, ", "))
 	}
 	return snap, nil
 }

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -58,34 +57,17 @@ func expositionContains(t *testing.T, reg *obs.Registry, line string) {
 }
 
 // TestAuthorizeSteadyStateAllocs is the acceptance gate: the *instrumented*
-// Authorize path — cached context, interned reasons, pooled features,
-// compiled tree, sharded log, metric increments — allocates nothing in
-// steady state.
+// Authorize path — plain collector read, interned reasons, pooled features,
+// compiled tree, ring log, metric increments — allocates nothing in steady
+// state.
 func TestAuthorizeSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	snap := legalCtx(t, dataset.ModelWindow)
-	reg := obs.NewRegistry()
-	cached, err := NewCachedCollector(
-		CollectorFunc(func(ctx context.Context) (sensor.Snapshot, error) { return snap, nil }),
-		time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cached.Instrument(reg)
-	f, err := New(Config{
-		Detector:  detectorForTest(t),
-		Collector: cached,
-		Memory:    memoryForTest(t),
-		Metrics:   reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, _ := instrumentedFramework(t, legalCtx(t, dataset.ModelWindow))
 	in := buildInstr(t, "window.open", "window-1")
 	ctx := context.Background()
-	// Warm: buffer pool, reason interning table, cache fill.
+	// Warm: buffer pool, reason interning table.
 	for i := 0; i < 3; i++ {
 		if _, err := f.Authorize(ctx, in); err != nil {
 			t.Fatal(err)
@@ -271,89 +253,6 @@ func TestDecisionLogEvictionCounter(t *testing.T) {
 	if evictions.Value() == 0 {
 		t.Fatal("test expected the ring to overflow; raise n or shrink capacity")
 	}
-}
-
-// TestCachedCollectorMetrics scripts every cache outcome with an injected
-// clock: miss, hit, coalesced waiter, stale fallback, hard error.
-func TestCachedCollectorMetrics(t *testing.T) {
-	var fail bool
-	release := make(chan struct{})
-	started := make(chan struct{}, 1)
-	inner := CollectorFunc(func(ctx context.Context) (sensor.Snapshot, error) {
-		select {
-		case started <- struct{}{}:
-		default:
-		}
-		<-release
-		if fail {
-			return sensor.Snapshot{}, errors.New("gateway down")
-		}
-		return sensor.NewSnapshot(time.Unix(1, 0)), nil
-	})
-	c, err := NewCachedCollector(inner, time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	now := time.Unix(1000, 0)
-	c.SetClock(func() time.Time { return now })
-	c.ServeStaleOnError(time.Hour)
-	reg := obs.NewRegistry()
-	c.Instrument(reg)
-	ctx := context.Background()
-
-	// Leader + coalesced waiter share one inner collect.
-	var wg sync.WaitGroup
-	wg.Add(1)
-	leaderDone := make(chan error, 1)
-	go func() {
-		defer wg.Done()
-		_, err := c.Collect(ctx)
-		leaderDone <- err
-	}()
-	<-started
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if _, err := c.Collect(ctx); err != nil {
-			t.Error(err)
-		}
-	}()
-	// The waiter must be registered as in-flight before release; poll the
-	// coalesced counter (it increments before blocking on done).
-	vec := reg.NewCounterVec(metricCache,
-		"CachedCollector results: hit, miss (led the inner collect), coalesced (shared an in-flight collect), stale (serve-stale-on-error fallback), error.",
-		"result")
-	coalesced := vec.With("coalesced")
-	for i := 0; coalesced.Value() == 0 && i < 1000; i++ {
-		time.Sleep(time.Millisecond)
-	}
-	close(release)
-	wg.Wait()
-	if err := <-leaderDone; err != nil {
-		t.Fatal(err)
-	}
-	// Fresh hit.
-	if _, err := c.Collect(ctx); err != nil {
-		t.Fatal(err)
-	}
-	// Expire the TTL, fail the inner collect → stale fallback.
-	release = make(chan struct{})
-	close(release)
-	fail = true
-	now = now.Add(2 * time.Minute)
-	if _, err := c.Collect(ctx); err != nil {
-		t.Fatal(err)
-	}
-	// Beyond the stale budget → hard error.
-	now = now.Add(2 * time.Hour)
-	if _, err := c.Collect(ctx); err == nil {
-		t.Fatal("expected error beyond the stale budget")
-	}
-	expositionContains(t, reg, `iotsid_cache_collects_total{result="miss"} 3`)
-	expositionContains(t, reg, `iotsid_cache_collects_total{result="hit"} 1`)
-	expositionContains(t, reg, `iotsid_cache_collects_total{result="coalesced"} 1`)
-	expositionContains(t, reg, `iotsid_cache_collects_total{result="stale"} 1`)
-	expositionContains(t, reg, `iotsid_cache_collects_total{result="error"} 1`)
 }
 
 // TestMultiCollectorMetrics: provenance counters track fresh/stale/missing

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -194,6 +195,77 @@ func TestMultiCollectorTrustProvenance(t *testing.T) {
 	}
 	if dec.Allowed || dec.Reason != ReasonLowTrust.String() {
 		t.Fatalf("sensitive on spoofed poll source: %+v", dec)
+	}
+}
+
+// TestStrictCollectFailsClosedOnLowTrust: the strict Collect of both
+// provenance-aware collectors refuses a context whose required source sits
+// below its trust threshold, naming the source, while CollectDetailed
+// still serves the snapshot (with the low-trust row) for the framework.
+func TestStrictCollectFailsClosedOnLowTrust(t *testing.T) {
+	ctx := context.Background()
+
+	clk := newEpochClock()
+	epochEng := trustEngine(t, "sim")
+	st, err := epoch.NewStore(epoch.Config{Now: clk.Now, Observe: func(src string, d sensor.Snapshot, at time.Time) {
+		epochEng.Observe(src, d, at)
+	}}, epoch.SourceConfig{Name: "sim", Required: true, FreshFor: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ec, err := NewEpochCollector(EpochCollectorConfig{Now: clk.Now, Trust: epochEng}, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pushScene(t, st, "sim", legalCtx(t, dataset.ModelWindow), clk.Now())
+	if _, err := ec.Collect(ctx); err != nil {
+		t.Fatalf("trusted epoch Collect: %v", err)
+	}
+
+	multiEng := trustEngine(t, "gw")
+	src := &mutableCollector{}
+	mc, err := NewMultiCollector(MultiConfig{Now: clk.Now, Trust: multiEng},
+		Source{Name: "gw", Collector: src, Required: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean := legalCtx(t, dataset.ModelWindow).Clone()
+	clean.At = clk.Now()
+	src.set(clean)
+	if _, err := mc.Collect(ctx); err != nil {
+		t.Fatalf("trusted multi Collect: %v", err)
+	}
+
+	for i := 0; i < 2; i++ {
+		clk.Advance(time.Second)
+		if err := st.Push("sim", corruptScene(t, clk.Now())); err != nil {
+			t.Fatal(err)
+		}
+		src.set(corruptScene(t, clk.Now()))
+		if _, _, err := mc.CollectDetailed(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for _, tc := range []struct {
+		name   string
+		source string
+		c      DetailedCollector
+	}{{"epoch", "sim", ec}, {"multi", "gw", mc}} {
+		if _, err := tc.c.Collect(ctx); err == nil || !strings.Contains(err.Error(), tc.source) ||
+			!strings.Contains(err.Error(), "trust") {
+			t.Errorf("%s: Collect under low trust = %v, want an error naming %q", tc.name, err, tc.source)
+		}
+		snap, prov, err := tc.c.CollectDetailed(ctx)
+		if err != nil {
+			t.Fatalf("%s: CollectDetailed under low trust: %v", tc.name, err)
+		}
+		if len(snap.Values) == 0 {
+			t.Errorf("%s: CollectDetailed served an empty snapshot", tc.name)
+		}
+		if lt := prov.LowTrustRequired(); len(lt) != 1 || lt[0] != tc.source {
+			t.Errorf("%s: LowTrustRequired = %v, want [%s]", tc.name, lt, tc.source)
+		}
 	}
 }
 

@@ -29,8 +29,6 @@ var (
 	ReasonNoContext = FailReason{"sensitive instruction rejected (fail closed): home has pushed no sensor context"}
 	// ReasonStale: a fleet home's context is beyond its freshness budget.
 	ReasonStale = FailReason{"sensitive instruction rejected (fail closed): home sensor context is beyond its freshness budget"}
-	// ReasonPullFailed: a fleet home's pull fallback failed too.
-	ReasonPullFailed = FailReason{"sensitive instruction rejected (fail closed): home context pull failed and no fresh pushed context"}
 	// ReasonSeqAnomaly: the sequence judge revoked an allow the tree gave.
 	ReasonSeqAnomaly = FailReason{"sensitive instruction rejected (fail closed): instruction sequence outside trained temporal profile"}
 )

@@ -12,7 +12,6 @@ import (
 	"iotsid/internal/instr"
 	"iotsid/internal/obs"
 	"iotsid/internal/par"
-	"iotsid/internal/resilience"
 	"iotsid/internal/sensor"
 	"iotsid/internal/seq"
 	"iotsid/internal/trust"
@@ -140,12 +139,6 @@ func (f *Fleet) HomeCount() int { return int(f.homeCount.Load()) }
 type HomeConfig struct {
 	// ID is the tenant key; it selects the shard and must be unique.
 	ID string
-	// Collector, when non-nil, is the pull fallback: if the home's pushed
-	// context is missing or stale, the fleet collects through it (guarded
-	// by Breaker when set) instead of failing closed immediately.
-	Collector core.Collector
-	// Breaker guards Collector against a flapping gateway; optional.
-	Breaker *resilience.Breaker
 	// FreshFor overrides the fleet's default context freshness budget for
 	// this home; zero inherits the fleet default.
 	FreshFor time.Duration
@@ -169,15 +162,13 @@ type HomeConfig struct {
 }
 
 // Home is one tenant's state: the latest pushed sensor context behind an
-// atomic pointer, a bounded ring decision log, and the optional pull path.
+// atomic pointer and a bounded ring decision log.
 type Home struct {
-	id        string
-	shardIdx  uint32
-	freshFor  time.Duration
-	view      atomic.Pointer[homeView]
-	log       *core.DecisionLog
-	collector core.Collector
-	breaker   *resilience.Breaker
+	id       string
+	shardIdx uint32
+	freshFor time.Duration
+	view     atomic.Pointer[homeView]
+	log      *core.DecisionLog
 
 	// trust, when non-nil, scores this home's pushed context; trustIdx is
 	// trustSource's index in the engine, resolved once at AddHome.
@@ -236,13 +227,11 @@ func (f *Fleet) AddHome(cfg HomeConfig) (*Home, error) {
 	}
 	si := f.shardIndex(cfg.ID)
 	h := &Home{
-		id:        cfg.ID,
-		shardIdx:  si,
-		freshFor:  cfg.FreshFor,
-		collector: cfg.Collector,
-		breaker:   cfg.Breaker,
-		seqSet:    cfg.Sequence,
-		log:       core.NewDecisionLog(f.logCap, nil, nil),
+		id:       cfg.ID,
+		shardIdx: si,
+		freshFor: cfg.FreshFor,
+		seqSet:   cfg.Sequence,
+		log:      core.NewDecisionLog(f.logCap, nil, nil),
 	}
 	if cfg.Trust != nil {
 		src := cfg.TrustSource
@@ -435,25 +424,27 @@ func (f *Fleet) Authorize(ctx context.Context, homeID string, in instr.Instructi
 		//iot:allow hotalloc error path, never taken steady-state; the AllocsPerRun gate proves the allow path is 0-alloc
 		return core.Decision{}, fmt.Errorf("fleet: unknown home %q", homeID)
 	}
-	return f.authorizeHome(ctx, h, in)
+	return f.authorizeHome(h, in)
 }
 
 // authorizeHome judges against the home's published view. Every degraded
-// shape — no view, a stale one, a failed pull, a low-trust source — hands
-// the verdict stage its interned reason: sensitive instructions fail
-// closed, non-sensitive ones are still judged on whatever the home last
-// pushed — the same bounded-staleness / fail-closed trade the single-home
+// shape — no view, a stale one, a low-trust source — hands the verdict
+// stage its interned reason: sensitive instructions fail closed,
+// non-sensitive ones are still judged on whatever the home last pushed —
+// the same bounded-staleness / fail-closed trade the single-home
 // framework makes.
 //
 //iot:hotpath
 //iot:failclosed
-func (f *Fleet) authorizeHome(ctx context.Context, h *Home, in instr.Instruction) (core.Decision, error) {
+func (f *Fleet) authorizeHome(h *Home, in instr.Instruction) (core.Decision, error) {
 	v := h.view.Load()
 	var snap sensor.Snapshot
 	var why core.FailReason
 	switch {
-	case v == nil || (h.freshFor > 0 && f.now().Sub(v.at) > h.freshFor):
-		snap, why = f.degradedView(ctx, h, v)
+	case v == nil:
+		why = core.ReasonNoContext
+	case h.freshFor > 0 && f.now().Sub(v.at) > h.freshFor:
+		snap, why = v.snap, core.ReasonStale
 	case h.LowTrust():
 		// Fresh but not believable: a spoofed feed that keeps pushing is
 		// the one degraded shape freshness budgets cannot see.
@@ -477,45 +468,6 @@ func (f *Fleet) authorizeHome(ctx context.Context, h *Home, in instr.Instruction
 // SeqAnomalies reports how many sensitive instructions the sequence judge
 // rejected fleet-wide after the static tree allowed them.
 func (f *Fleet) SeqAnomalies() uint64 { return f.verdict.SeqAnomalies() }
-
-// degradedView is the cold path: no pushed context, or a stale one. With a
-// pull collector wired the fleet polls (behind the home's breaker), and a
-// successful pull is healthy context. Otherwise it returns the last pushed
-// snapshot, if any, with the reason sensitive instructions fail closed on:
-// a failed pull is the same epistemic state as no context at all.
-func (f *Fleet) degradedView(ctx context.Context, h *Home, v *homeView) (sensor.Snapshot, core.FailReason) {
-	var snap sensor.Snapshot
-	why := core.ReasonNoContext
-	if v != nil {
-		snap, why = v.snap, core.ReasonStale
-	}
-	if h.collector != nil {
-		pulled, err := f.collectPull(ctx, h)
-		if err == nil {
-			return pulled, core.FailReason{}
-		}
-		why = core.ReasonPullFailed
-	}
-	return snap, why
-}
-
-// collectPull polls the home's collector, guarded by its breaker.
-func (f *Fleet) collectPull(ctx context.Context, h *Home) (sensor.Snapshot, error) {
-	if h.breaker != nil {
-		if err := h.breaker.Allow(); err != nil {
-			return sensor.Snapshot{}, err
-		}
-	}
-	snap, err := h.collector.Collect(ctx)
-	if h.breaker != nil {
-		h.breaker.Record(err)
-	}
-	if err != nil {
-		return sensor.Snapshot{}, err
-	}
-	f.push(h, snap)
-	return snap, nil
-}
 
 // BatchItem is one instruction in a fleet batch, optionally carrying the
 // home's newest context ("push before judge" — the device gateway pattern
@@ -577,7 +529,7 @@ func (f *Fleet) AuthorizeBatch(ctx context.Context, items []BatchItem, workers i
 			if it.Context != nil {
 				f.push(h, *it.Context)
 			}
-			dec, err := f.authorizeHome(ctx, h, it.In)
+			dec, err := f.authorizeHome(h, it.In)
 			if err != nil {
 				out[idx] = BatchResult{Err: err.Error()}
 				continue

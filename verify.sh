@@ -1,6 +1,6 @@
 #!/bin/sh
 # verify.sh — the tier-1 gate plus static analysis and the race detector.
-# The decision log, snapshot cache and the par worker pool are concurrent
+# The decision log, the collectors and the par worker pool are concurrent
 # hot-path code; -race is not optional here.
 set -eux
 
@@ -51,7 +51,7 @@ go test -race ./...
 # detector (also covered by the blanket -race run above; this keeps a
 # fast, named signal when the resilience layer regresses).
 go test -race -count=1 ./internal/resilience/
-go test -race -count=1 -run 'MultiCollector|Chaos|FailsClosed|CachedCollector' ./internal/core/
+go test -race -count=1 -run 'MultiCollector|Chaos|FailsClosed' ./internal/core/
 go test -race -count=1 -run 'Fault' ./internal/eval/
 go test -race -count=1 -run 'Call|Retry|Timeout|Permanent|Context' ./internal/miio/ ./internal/smartthings/
 go test -race -count=1 -run 'Healthz|RetryAfter|ContextTimeout' ./internal/cloud/
