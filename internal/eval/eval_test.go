@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"context"
 	"math"
 	"strings"
 	"testing"
@@ -402,47 +401,6 @@ func TestPreventionComparison(t *testing.T) {
 	}
 	if _, err := s.PreventionComparison(0); err == nil {
 		t.Error("want n error")
-	}
-}
-
-func TestCampaign(t *testing.T) {
-	s := suiteForTest(t)
-	r, err := s.Campaign(context.Background(), 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.PerType) != 6 {
-		t.Fatalf("attack types = %d", len(r.PerType))
-	}
-	for typ, c := range r.PerType {
-		if c.Attempts != 40 {
-			t.Errorf("%s attempts = %d", typ, c.Attempts)
-		}
-		rate := float64(c.Blocked) / float64(c.Attempts)
-		if typ == AttackTVScare {
-			// TV control is below the Table III sensitivity bar: the
-			// detector never escalates it, so nothing is blocked — the
-			// campaign documents that scope boundary.
-			if rate != 0 {
-				t.Errorf("tv_scare block rate = %v, want 0 (outside detector scope)", rate)
-			}
-			continue
-		}
-		if rate < 0.7 {
-			t.Errorf("%s block rate = %v", typ, rate)
-		}
-	}
-	if r.BlockRate() < 0.7 {
-		t.Errorf("overall block rate = %v", r.BlockRate())
-	}
-	if r.FalseBlockRate() > 0.15 {
-		t.Errorf("false block rate = %v", r.FalseBlockRate())
-	}
-	if _, err := s.RenderCampaign(context.Background(), 5); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Campaign(context.Background(), 0); err == nil {
-		t.Error("want rounds error")
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"iotsid/internal/dataset"
 	"iotsid/internal/home"
 	"iotsid/internal/instr"
-	"iotsid/internal/par"
 	"iotsid/internal/resilience"
 )
 
@@ -54,21 +53,16 @@ func DefaultFaultScenarios() []FaultScenario {
 	}
 }
 
-// FaultScenarioResult tallies one scenario across its rounds. Attack and
-// legitimate tallies count only sensitive instructions — the non-sensitive
-// ones (the TV class) are outside the fail-closed contract.
+// FaultScenarioResult tallies one scenario across its rounds. The Tally
+// counts only sensitive instructions — the non-sensitive ones (the TV
+// class) are outside the fail-closed contract. Attacks are fired from
+// staged attack scenes; one that gets no decision at all still counts as
+// blocked, since nothing was forwarded. Legitimate commands are the same
+// instructions from legal scenes; one not served counts as blocked.
 type FaultScenarioResult struct {
 	Name   string `json:"name"`
 	Rounds int    `json:"rounds"`
-	// AttackAttempts/Blocked: sensitive instructions fired from staged
-	// attack scenes and how many the IDS rejected (by judgment or by
-	// failing closed).
-	AttackAttempts int `json:"attack_attempts"`
-	AttackBlocked  int `json:"attack_blocked"`
-	// LegitAttempts/Allowed: the same sensitive instructions from legal
-	// scenes and how many were served — the availability side.
-	LegitAttempts int `json:"legit_attempts"`
-	LegitAllowed  int `json:"legit_allowed"`
+	Tally
 	// FailClosed counts decisions rejected explicitly because a required
 	// source was missing.
 	FailClosed int `json:"fail_closed"`
@@ -81,35 +75,6 @@ type FaultScenarioResult struct {
 	// UnsafeAllows counts sensitive instructions ALLOWED while the required
 	// source was missing — the fail-closed contract demands zero.
 	UnsafeAllows int `json:"unsafe_allows"`
-}
-
-// Availability is the fraction of legitimate sensitive commands served.
-func (r FaultScenarioResult) Availability() float64 {
-	if r.LegitAttempts == 0 {
-		return 0
-	}
-	return float64(r.LegitAllowed) / float64(r.LegitAttempts)
-}
-
-// Safety is the fraction of sensitive attack instructions rejected.
-func (r FaultScenarioResult) Safety() float64 {
-	if r.AttackAttempts == 0 {
-		return 0
-	}
-	return float64(r.AttackBlocked) / float64(r.AttackAttempts)
-}
-
-// add merges one round tally into the scenario total.
-func (r *FaultScenarioResult) add(o FaultScenarioResult) {
-	r.Rounds += o.Rounds
-	r.AttackAttempts += o.AttackAttempts
-	r.AttackBlocked += o.AttackBlocked
-	r.LegitAttempts += o.LegitAttempts
-	r.LegitAllowed += o.LegitAllowed
-	r.FailClosed += o.FailClosed
-	r.StaleServes += o.StaleServes
-	r.CollectErrors += o.CollectErrors
-	r.UnsafeAllows += o.UnsafeAllows
 }
 
 // optPlan builds the optional source's fault plan for a scenario.
@@ -126,41 +91,34 @@ func (sc FaultScenario) optPlan(seed int64) func(int) core.FaultKind {
 	return core.ChaosPlan(seed, sc.OptError, sc.OptHang, sc.OptByzantine)
 }
 
-// FaultCampaign runs every scenario for the given number of rounds against
-// a live two-source deployment: a required chaos-wrapped sim feed and an
-// optional chaos-wrapped sim feed behind retry policies, a breaker on the
-// required source, bounded staleness on the optional one, and a health
-// registry observed after every command.
+// FaultCampaign runs every default scenario for the given number of
+// rounds against a live two-source deployment: a required chaos-wrapped
+// sim feed and an optional chaos-wrapped sim feed behind retry policies,
+// a breaker on the required source, bounded staleness on the optional
+// one, and a health registry observed after every command.
 //
 // Each (scenario, round) unit is fully self-contained — its own home,
 // framework, fake clock, chaos plans and scene generator, all seeded from
-// the unit index before the fan-out — so the tables are identical at any
-// worker count.
+// the unit index — so the tables are identical at any worker count. ctx
+// is the parent of every per-call timeout the rounds impose.
 func (s *Suite) FaultCampaign(ctx context.Context, rounds int) ([]FaultScenarioResult, error) {
-	return s.FaultCampaignScenarios(ctx, DefaultFaultScenarios(), rounds)
-}
-
-// FaultCampaignScenarios is FaultCampaign over a caller-supplied scenario
-// list. ctx is the parent of every per-call timeout the rounds impose.
-func (s *Suite) FaultCampaignScenarios(ctx context.Context, scenarios []FaultScenario, rounds int) ([]FaultScenarioResult, error) {
-	if rounds <= 0 {
-		return nil, fmt.Errorf("eval: rounds must be positive")
-	}
-	if len(scenarios) == 0 {
-		return nil, fmt.Errorf("eval: no fault scenarios")
-	}
-	units := len(scenarios) * rounds
-	outcomes, err := par.Map(units, s.Config.Workers, func(u int) (FaultScenarioResult, error) {
-		return s.faultRound(ctx, scenarios[u/rounds], int64(u))
+	scenarios := DefaultFaultScenarios()
+	units, err := runUnits(ctx, s, len(scenarios), rounds, func(sc, _ int, u int64) (FaultScenarioResult, error) {
+		return s.faultRound(ctx, scenarios[sc], u)
 	})
 	if err != nil {
 		return nil, err
 	}
 	out := make([]FaultScenarioResult, len(scenarios))
-	for i, sc := range scenarios {
-		out[i].Name = sc.Name
-		for r := 0; r < rounds; r++ {
-			out[i].add(outcomes[i*rounds+r])
+	for i, rows := range units {
+		r := &out[i]
+		r.Name, r.Rounds = scenarios[i].Name, rounds
+		for _, o := range rows {
+			r.Tally.Add(o.Tally)
+			r.FailClosed += o.FailClosed
+			r.StaleServes += o.StaleServes
+			r.CollectErrors += o.CollectErrors
+			r.UnsafeAllows += o.UnsafeAllows
 		}
 	}
 	return out, nil
@@ -221,7 +179,7 @@ func (s *Suite) faultRound(ctx context.Context, sc FaultScenario, unit int64) (F
 	}
 
 	rng := rand.New(rand.NewSource(s.Config.Seed + 505 + unit))
-	res := FaultScenarioResult{Name: sc.Name, Rounds: 1}
+	var res FaultScenarioResult
 
 	// sourceState reads one source's health row after a command.
 	sourceState := func(name string) string {
@@ -232,23 +190,30 @@ func (s *Suite) faultRound(ctx context.Context, sc FaultScenario, unit int64) (F
 		}
 		return ""
 	}
-	fire := func(op, device string) (allowed, decided bool, err error) {
+	// fire authorizes one instruction; allowed is false when it got no
+	// decision at all.
+	fire := func(op, device string) (allowed bool, err error) {
 		in, err := registry.Build(op, device, instr.OriginUnknown, nil)
 		if err != nil {
-			return false, false, err
+			return false, err
 		}
 		now = now.Add(5 * time.Second)
 		callCtx, cancel := context.WithTimeout(ctx, time.Second)
 		dec, err := framework.Authorize(callCtx, in)
 		cancel()
 		if err != nil {
+			// A cancelled campaign is not a sensor outage; only the
+			// per-call timeout (a hang fault) counts as no context.
+			if ctxErr := ctx.Err(); ctxErr != nil {
+				return false, ctxErr
+			}
 			res.CollectErrors++
-			return false, false, nil
+			return false, nil
 		}
 		if sourceState("optional") == string(core.SourceStale) {
 			res.StaleServes++
 		}
-		if strings.Contains(dec.Reason, "fail closed") {
+		if dec.Reason == core.ReasonMissing.String() {
 			res.FailClosed++
 		}
 		if dec.Allowed && sourceState("required") == string(core.SourceMissing) {
@@ -256,10 +221,10 @@ func (s *Suite) faultRound(ctx context.Context, sc FaultScenario, unit int64) (F
 		}
 		if dec.Allowed {
 			if err := h.Execute(in); err != nil {
-				return false, false, err
+				return false, err
 			}
 		}
-		return dec.Allowed, true, nil
+		return dec.Allowed, nil
 	}
 
 	for _, a := range campaignAttacks {
@@ -277,32 +242,21 @@ func (s *Suite) faultRound(ctx context.Context, sc FaultScenario, unit int64) (F
 			return FaultScenarioResult{}, err
 		}
 		h.Env().Apply(attack)
-		allowed, decided, err := fire(a.Op, a.Device)
+		allowed, err := fire(a.Op, a.Device)
 		if err != nil {
 			return FaultScenarioResult{}, err
 		}
-		res.AttackAttempts++
-		if decided && !allowed {
-			res.AttackBlocked++
-		} else if !decided {
-			// No decision at all is still a blocked attack: nothing was
-			// forwarded.
-			res.AttackBlocked++
-		}
+		res.Attack(!allowed)
 
 		legal, err := dataset.LegalScene(a.Model, rng)
 		if err != nil {
 			return FaultScenarioResult{}, err
 		}
 		h.Env().Apply(legal)
-		allowed, _, err = fire(a.Op, a.Device)
-		if err != nil {
+		if allowed, err = fire(a.Op, a.Device); err != nil {
 			return FaultScenarioResult{}, err
 		}
-		res.LegitAttempts++
-		if allowed {
-			res.LegitAllowed++
-		}
+		res.Legit(!allowed)
 	}
 	return res, nil
 }

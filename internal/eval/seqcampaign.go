@@ -11,7 +11,6 @@ import (
 	"iotsid/internal/core"
 	"iotsid/internal/dataset"
 	"iotsid/internal/instr"
-	"iotsid/internal/par"
 	"iotsid/internal/sensor"
 	"iotsid/internal/seq"
 )
@@ -40,40 +39,12 @@ const (
 // seqScenarios fixes the campaign order (and therefore the digest).
 var seqScenarios = []SeqScenario{SeqScenarioClean, SeqScenarioAutomationChain, SeqScenarioStaleReplay}
 
-// SeqJudgeCounts tallies one judge's decisions within a scenario.
-type SeqJudgeCounts struct {
-	AttackAttempts int `json:"attack_attempts"`
-	AttackBlocked  int `json:"attack_blocked"`
-	LegitAttempts  int `json:"legit_attempts"`
-	LegitBlocked   int `json:"legit_blocked"`
-}
-
-// DetectionRate returns the fraction of staged attacks blocked (1 when the
-// scenario stages none).
-func (c SeqJudgeCounts) DetectionRate() float64 {
-	if c.AttackAttempts == 0 {
-		return 1
-	}
-	return float64(c.AttackBlocked) / float64(c.AttackAttempts)
-}
-
-// FalseBlockRate returns the fraction of benign events wrongly rejected.
-func (c SeqJudgeCounts) FalseBlockRate() float64 {
-	if c.LegitAttempts == 0 {
-		return 0
-	}
-	return float64(c.LegitBlocked) / float64(c.LegitAttempts)
-}
-
-// Availability is the benign-traffic complement of FalseBlockRate.
-func (c SeqJudgeCounts) Availability() float64 { return 1 - c.FalseBlockRate() }
-
 // SeqScenarioResult is one scenario's side-by-side outcome: the static tree
 // alone versus the tree combined fail-closed with the sequence judge.
 type SeqScenarioResult struct {
-	Scenario SeqScenario    `json:"scenario"`
-	Tree     SeqJudgeCounts `json:"tree"`
-	Combined SeqJudgeCounts `json:"combined"`
+	Scenario SeqScenario `json:"scenario"`
+	Tree     Tally       `json:"tree"`
+	Combined Tally       `json:"combined"`
 }
 
 // SeqCampaignResult is the full campaign outcome.
@@ -89,26 +60,24 @@ type SeqCampaignResult struct {
 	Digest string `json:"digest"`
 }
 
-// seqFold folds one decision into an FNV-64a style digest: the allow bit,
-// then the reason bytes.
+// seqFold folds one decision into a unit digest: the allow bit, then the
+// reason bytes.
 func seqFold(d uint64, allowed bool, reason string) uint64 {
 	var bit uint64
 	if allowed {
 		bit = 1
 	}
-	d ^= bit
-	d *= 1099511628211
+	d = fnvFold(d, bit)
 	for i := 0; i < len(reason); i++ {
-		d ^= uint64(reason[i])
-		d *= 1099511628211
+		d = fnvFold(d, uint64(reason[i]))
 	}
 	return d
 }
 
-// seqUnitOutcome is one (scenario, round) unit's tally.
+// seqUnitOutcome is one (scenario, round) unit's tally per judge.
 type seqUnitOutcome struct {
-	tree     SeqJudgeCounts
-	combined SeqJudgeCounts
+	tree     Tally
+	combined Tally
 	digest   uint64
 }
 
@@ -121,9 +90,6 @@ type seqUnitOutcome struct {
 // for every worker count. The shared sequence table is trained once, up
 // front, from the same deterministic generator the judge ships with.
 func (s *Suite) SeqCampaign(ctx context.Context, rounds int) (SeqCampaignResult, error) {
-	if rounds <= 0 {
-		return SeqCampaignResult{}, fmt.Errorf("eval: rounds must be positive")
-	}
 	detector, err := core.DefaultDetector()
 	if err != nil {
 		return SeqCampaignResult{}, err
@@ -133,36 +99,25 @@ func (s *Suite) SeqCampaign(ctx context.Context, rounds int) (SeqCampaignResult,
 		return SeqCampaignResult{}, err
 	}
 	registry := instr.BuiltinRegistry()
-	units := len(seqScenarios) * rounds
-
-	outcomes, err := par.Map(units, s.Config.Workers, func(u int) (seqUnitOutcome, error) {
-		if err := ctx.Err(); err != nil {
-			return seqUnitOutcome{}, err
-		}
-		return s.seqRound(seqScenarios[u/rounds], detector, set, registry,
-			rand.New(rand.NewSource(s.Config.Seed+515+9973*int64(u))))
+	units, err := runUnits(ctx, s, len(seqScenarios), rounds, func(sc, _ int, u int64) (seqUnitOutcome, error) {
+		return s.seqRound(seqScenarios[sc], detector, set, registry,
+			rand.New(rand.NewSource(s.Config.Seed+515+9973*u)))
 	})
 	if err != nil {
 		return SeqCampaignResult{}, err
 	}
 
 	res := SeqCampaignResult{Rounds: rounds, Scenarios: make([]SeqScenarioResult, len(seqScenarios))}
-	digest := uint64(14695981039346656037)
-	for i, sc := range seqScenarios {
-		res.Scenarios[i].Scenario = sc
-	}
-	for u, o := range outcomes {
-		row := &res.Scenarios[u/rounds]
-		row.Tree.AttackAttempts += o.tree.AttackAttempts
-		row.Tree.AttackBlocked += o.tree.AttackBlocked
-		row.Tree.LegitAttempts += o.tree.LegitAttempts
-		row.Tree.LegitBlocked += o.tree.LegitBlocked
-		row.Combined.AttackAttempts += o.combined.AttackAttempts
-		row.Combined.AttackBlocked += o.combined.AttackBlocked
-		row.Combined.LegitAttempts += o.combined.LegitAttempts
-		row.Combined.LegitBlocked += o.combined.LegitBlocked
-		res.UnsafeAllows += o.combined.AttackAttempts - o.combined.AttackBlocked
-		digest = digest*1099511628211 ^ o.digest
+	digest := fnvOffset
+	for i, rows := range units {
+		row := &res.Scenarios[i]
+		row.Scenario = seqScenarios[i]
+		for _, o := range rows {
+			row.Tree.Add(o.tree)
+			row.Combined.Add(o.combined)
+			digest = fnvChain(digest, o.digest)
+		}
+		res.UnsafeAllows += row.Combined.AttackAttempts - row.Combined.AttackBlocked
 	}
 	res.Digest = fmt.Sprintf("%016x", digest)
 	return res, nil
@@ -185,7 +140,7 @@ func (s *Suite) seqRound(scenario SeqScenario, detector *core.Detector, set *seq
 		return seqUnitOutcome{}, err
 	}
 
-	out := seqUnitOutcome{digest: 14695981039346656037}
+	out := seqUnitOutcome{digest: fnvOffset}
 	// judgeBoth fires the same instruction+scene through both frameworks
 	// and tallies it as benign traffic or as a staged attack.
 	judgeBoth := func(op string, e seq.TraceEvent, attack bool) error {
@@ -204,15 +159,9 @@ func (s *Suite) seqRound(scenario SeqScenario, detector *core.Detector, set *seq
 				counts = &out.combined
 			}
 			if attack {
-				counts.AttackAttempts++
-				if !dec.Allowed {
-					counts.AttackBlocked++
-				}
+				counts.Attack(!dec.Allowed)
 			} else {
-				counts.LegitAttempts++
-				if !dec.Allowed {
-					counts.LegitBlocked++
-				}
+				counts.Legit(!dec.Allowed)
 			}
 			out.digest = seqFold(out.digest, dec.Allowed, dec.Reason)
 		}
@@ -299,17 +248,11 @@ func (o *seqUnitOutcome) runChain(treeFW, seqFW *core.Framework, registry *instr
 				return fmt.Errorf("eval: chain rule %q: %s", ev.Rule, ev.Err)
 			}
 			if ev.Op == "window.open" {
-				counts.AttackAttempts++
-				if !ev.Allowed {
-					counts.AttackBlocked++
-				}
+				counts.Attack(!ev.Allowed)
 			} else {
 				// The status fillers are part of the attack delivery, but a
 				// judge that rejects them is paying availability for it.
-				counts.LegitAttempts++
-				if !ev.Allowed {
-					counts.LegitBlocked++
-				}
+				counts.Legit(!ev.Allowed)
 			}
 			o.digest = seqFold(o.digest, ev.Allowed, ev.Reason)
 		}

@@ -12,7 +12,6 @@ import (
 	"iotsid/internal/dataset"
 	"iotsid/internal/epoch"
 	"iotsid/internal/instr"
-	"iotsid/internal/par"
 	"iotsid/internal/sensor"
 	"iotsid/internal/trust"
 )
@@ -76,56 +75,38 @@ func DefaultSpoofScenarios() []SpoofScenario {
 }
 
 // SpoofScenarioResult tallies one spoofing scenario across its rounds.
+// The Tally counts sensitive instructions: attacks are the ones fired
+// while the feed was spoofed, legitimate ones those fired while it was
+// honest (the post-baseline clean phase, plus the clean scenario's whole
+// firing phase).
 type SpoofScenarioResult struct {
 	Name   string `json:"name"`
 	Rounds int    `json:"rounds"`
-	// LegitAttempts/Allowed: sensitive instructions fired while the feed
-	// was honest (the post-baseline clean phase, plus the clean
-	// scenario's whole firing phase) — the availability side.
-	LegitAttempts int `json:"legit_attempts"`
-	LegitAllowed  int `json:"legit_allowed"`
-	// SpoofAttempts/Blocked: sensitive instructions fired while the feed
-	// was spoofed, and how many the IDS rejected.
-	SpoofAttempts int `json:"spoof_attempts"`
-	SpoofBlocked  int `json:"spoof_blocked"`
+	Tally
 	// UnsafeAllows counts sensitive instructions ALLOWED on a spoofed
 	// feed — the trust contract demands zero.
 	UnsafeAllows int `json:"unsafe_allows"`
-	// FailClosed counts decisions rejected explicitly by a fail-closed
-	// rule (rather than by tree judgment on the fabricated context).
+	// FailClosed counts decisions rejected explicitly by the trust gate
+	// (rather than by tree judgment on the fabricated context).
 	FailClosed int `json:"fail_closed"`
 	// TrustViolations totals the engine's violation count.
 	TrustViolations uint64 `json:"trust_violations"`
 	// MinFinalScore is the lowest end-of-round trust score across rounds.
 	MinFinalScore float64 `json:"min_final_score"`
 	// TrustDigest fingerprints every round's full score trajectory
-	// (FNV-64a over the float bits, folded in round order) — the
+	// (FNV-64a over the float bits, chained in round order) — the
 	// bit-identity witness the determinism test compares across worker
 	// counts.
 	TrustDigest string `json:"trust_digest"`
 }
 
-// Availability is the fraction of honest sensitive commands served.
-func (r SpoofScenarioResult) Availability() float64 {
-	if r.LegitAttempts == 0 {
-		return 0
-	}
-	return float64(r.LegitAllowed) / float64(r.LegitAttempts)
-}
-
-// Safety is the fraction of spoofed sensitive commands rejected.
-func (r SpoofScenarioResult) Safety() float64 {
-	if r.SpoofAttempts == 0 {
-		return 1
-	}
-	return float64(r.SpoofBlocked) / float64(r.SpoofAttempts)
-}
-
-// spoofRoundResult is one round's tally plus its trajectory digest.
+// spoofRoundResult is one round's tally plus its trust evidence.
 type spoofRoundResult struct {
-	res        SpoofScenarioResult
-	digest     uint64
+	Tally
+	failClosed int
+	violations uint64
 	finalScore float64
+	digest     uint64
 }
 
 // Campaign phase lengths. Clean establishes the behavioral baseline
@@ -145,44 +126,27 @@ const (
 // trust engine, epoch store, framework, fake clock and seeded scene —
 // so the tables are bit-identical at any worker count.
 func (s *Suite) SpoofCampaign(ctx context.Context, rounds int) ([]SpoofScenarioResult, error) {
-	return s.SpoofCampaignScenarios(ctx, DefaultSpoofScenarios(), rounds)
-}
-
-// SpoofCampaignScenarios is SpoofCampaign over a caller-supplied
-// scenario list.
-func (s *Suite) SpoofCampaignScenarios(ctx context.Context, scenarios []SpoofScenario, rounds int) ([]SpoofScenarioResult, error) {
-	if rounds <= 0 {
-		return nil, fmt.Errorf("eval: rounds must be positive")
-	}
-	if len(scenarios) == 0 {
-		return nil, fmt.Errorf("eval: no spoof scenarios")
-	}
-	units := len(scenarios) * rounds
-	outcomes, err := par.Map(units, s.Config.Workers, func(u int) (spoofRoundResult, error) {
-		return s.spoofRound(ctx, scenarios[u/rounds], int64(u))
+	scenarios := DefaultSpoofScenarios()
+	units, err := runUnits(ctx, s, len(scenarios), rounds, func(sc, _ int, u int64) (spoofRoundResult, error) {
+		return s.spoofRound(ctx, scenarios[sc], u)
 	})
 	if err != nil {
 		return nil, err
 	}
 	out := make([]SpoofScenarioResult, len(scenarios))
-	for i, sc := range scenarios {
-		agg := SpoofScenarioResult{Name: sc.Name, MinFinalScore: math.Inf(1)}
-		digest := uint64(14695981039346656037)
-		for r := 0; r < rounds; r++ {
-			o := outcomes[i*rounds+r]
-			agg.Rounds += o.res.Rounds
-			agg.LegitAttempts += o.res.LegitAttempts
-			agg.LegitAllowed += o.res.LegitAllowed
-			agg.SpoofAttempts += o.res.SpoofAttempts
-			agg.SpoofBlocked += o.res.SpoofBlocked
-			agg.UnsafeAllows += o.res.UnsafeAllows
-			agg.FailClosed += o.res.FailClosed
-			agg.TrustViolations += o.res.TrustViolations
-			agg.MinFinalScore = math.Min(agg.MinFinalScore, o.finalScore)
-			digest = digest*1099511628211 ^ o.digest
+	for i, rows := range units {
+		r := &out[i]
+		r.Name, r.Rounds, r.MinFinalScore = scenarios[i].Name, rounds, math.Inf(1)
+		digest := fnvOffset
+		for _, o := range rows {
+			r.Tally.Add(o.Tally)
+			r.FailClosed += o.failClosed
+			r.TrustViolations += o.violations
+			r.MinFinalScore = math.Min(r.MinFinalScore, o.finalScore)
+			digest = fnvChain(digest, o.digest)
 		}
-		agg.TrustDigest = fmt.Sprintf("%016x", digest)
-		out[i] = agg
+		r.UnsafeAllows = r.AttackAttempts - r.AttackBlocked
+		r.TrustDigest = fmt.Sprintf("%016x", digest)
 	}
 	return out, nil
 }
@@ -271,12 +235,10 @@ func (s *Suite) spoofRound(ctx context.Context, sc SpoofScenario, unit int64) (s
 		}
 	}
 
-	res := SpoofScenarioResult{Name: sc.Name, Rounds: 1}
-	var digest uint64 = 14695981039346656037
+	res := spoofRoundResult{digest: fnvOffset}
 	fold := func() {
 		score, _ := eng.Score("feed")
-		digest ^= math.Float64bits(score)
-		digest *= 1099511628211
+		res.digest = fnvFold(res.digest, math.Float64bits(score))
 	}
 	push := func(snap sensor.Snapshot) error {
 		now = snap.At
@@ -297,7 +259,7 @@ func (s *Suite) spoofRound(ctx context.Context, sc SpoofScenario, unit int64) (s
 		if err != nil {
 			return false, false, err
 		}
-		return dec.Allowed, strings.Contains(dec.Reason, "fail closed"), nil
+		return dec.Allowed, dec.Reason == core.ReasonLowTrust.String(), nil
 	}
 
 	// Phase 1 — honest traffic: learn the baseline, then measure
@@ -311,10 +273,7 @@ func (s *Suite) spoofRound(ctx context.Context, sc SpoofScenario, unit int64) (s
 			if err != nil {
 				return spoofRoundResult{}, err
 			}
-			res.LegitAttempts++
-			if allowed {
-				res.LegitAllowed++
-			}
+			res.Legit(!allowed)
 		}
 	}
 	// Phase 2 — the attacker establishes the spoofed feed (no commands
@@ -337,25 +296,17 @@ func (s *Suite) spoofRound(ctx context.Context, sc SpoofScenario, unit int64) (s
 			return spoofRoundResult{}, err
 		}
 		if failedClosed {
-			res.FailClosed++
+			res.failClosed++
 		}
 		if sc.Kind == SpoofClean {
-			res.LegitAttempts++
-			if allowed {
-				res.LegitAllowed++
-			}
-			continue
-		}
-		res.SpoofAttempts++
-		if allowed {
-			res.UnsafeAllows++
+			res.Legit(!allowed)
 		} else {
-			res.SpoofBlocked++
+			res.Attack(!allowed)
 		}
 	}
 	report := eng.Report()[0]
-	res.TrustViolations = report.Violations
-	return spoofRoundResult{res: res, digest: digest, finalScore: report.Score}, nil
+	res.violations, res.finalScore = report.Violations, report.Score
+	return res, nil
 }
 
 // RenderSpoofCampaign formats the spoofing-campaign table: availability

@@ -52,7 +52,7 @@ go test -race ./...
 # fast, named signal when the resilience layer regresses).
 go test -race -count=1 ./internal/resilience/
 go test -race -count=1 -run 'MultiCollector|Chaos|FailsClosed' ./internal/core/
-go test -race -count=1 -run 'Fault' ./internal/eval/
+go test -race -count=1 -run 'Fault|Campaign(Determinism|Arguments|TablesGolden)' ./internal/eval/
 go test -race -count=1 -run 'Call|Retry|Timeout|Permanent|Context' ./internal/miio/ ./internal/smartthings/
 go test -race -count=1 -run 'Healthz|RetryAfter|ContextTimeout' ./internal/cloud/
 
@@ -60,12 +60,12 @@ go test -race -count=1 -run 'Healthz|RetryAfter|ContextTimeout' ./internal/cloud
 # pointer-read hot path are concurrent by construction — run the push-path
 # suites focused under the race detector. The polled-vs-epoch decision
 # equivalence and its worker-count independence run here too (and
-# TestEpochCampaignDeterminism is picked up again by the Determinism gate
-# below, serial and pinned to one P).
+# TestCampaignDeterminism/compare is picked up again by the Determinism
+# gate below, serial and pinned to one P).
 go test -race -count=1 ./internal/epoch/
 go test -race -count=1 -run 'Epoch' ./internal/core/ ./internal/cloud/
 go test -race -count=1 -run 'EventPump|DevModeFeed|STPoller' ./internal/bridge/
-go test -count=1 -run 'EpochCampaign' ./internal/eval/
+go test -count=1 -run 'EpochCampaign|CampaignDeterminism/compare' ./internal/eval/
 
 # Observability gate: the metrics registry is lock-free hot-path code wired
 # into every subsystem — run its suite focused under the race detector
@@ -101,7 +101,7 @@ echo "$fleet_smoke" | grep -q 'digest' || { echo 'fleetload smoke: no digest in 
 # itself errors on any unsafe allow).
 go test -race -count=1 ./internal/trust/
 go test -race -count=1 -run 'Trust' ./internal/core/ ./internal/fleet/ ./internal/cloud/
-go test -count=1 -run 'Spoof' ./internal/eval/
+go test -count=1 -run 'Spoof|Campaign(Arguments|Determinism|TablesGolden)/spoof' ./internal/eval/
 go test -count=1 -run '^$' -fuzz '^FuzzInvariants$' -fuzztime 10s ./internal/trust/
 go test -count=1 -run '^$' -fuzz '^FuzzObserve$' -fuzztime 10s ./internal/trust/
 spoof_smoke="$(go run ./cmd/fleetload -homes 200 -steps 2 -workers 2 -batch 64 -seed 1 -spoof 0.2)"
@@ -118,7 +118,7 @@ echo "$spoof_smoke" | grep -q 'unsafe allows *0' || { echo 'fleetload spoof smok
 # errors on any unsafe chain allow).
 go test -race -count=1 ./internal/seq/
 go test -race -count=1 -run 'Seq' ./internal/core/ ./internal/fleet/ ./internal/cloud/
-go test -count=1 -run 'SeqCampaign' ./internal/eval/
+go test -count=1 -run 'SeqCampaign|Campaign(Arguments|Determinism|TablesGolden)/seq' ./internal/eval/
 go test -count=1 -run '^$' -fuzz '^FuzzSequenceObserve$' -fuzztime 10s ./internal/seq/
 chain_smoke="$(go run ./cmd/fleetload -homes 200 -steps 3 -workers 2 -batch 64 -seed 1 -chain 0.2)"
 echo "$chain_smoke" | grep -q 'unsafe chain allows *0' || { echo 'fleetload chain smoke: unsafe chain allows not zero' >&2; exit 1; }
@@ -148,12 +148,13 @@ awk 'NR==FNR { if ($1 !~ /^#/ && NF >= 2) floor[$1]=$2; next }
 rm -f "$cov"
 
 # Deterministic-parallelism gate: the serial-vs-parallel golden-equality
-# tests (Train, BuildAll, CrossValidate, forest.Fit, suite/campaign, the
-# fault campaign, seeded retry jitter) must pass both under the default
+# tests (Train, BuildAll, CrossValidate, forest.Fit, suite, all five
+# attack campaigns, seeded retry jitter) must pass both under the default
 # scheduler and pinned to a single P. If the GOMAXPROCS=1 run and the
 # default run disagree, one of them fails these equality tests and the
 # build breaks here. The 'Determinism' pattern matches the resilience
-# layer's TestScheduleDeterminism, TestChaosPlanDeterminism and
-# TestFaultCampaignDeterminism as well.
-go test -count=1 -run 'Determinism|Memoized' ./internal/...
-GOMAXPROCS=1 go test -count=1 -run 'Determinism|Memoized' ./internal/...
+# layer's TestScheduleDeterminism, TestChaosPlanDeterminism and every
+# TestCampaignDeterminism/<campaign> subtest as well; 'Golden' adds the
+# byte-level golden tests (TestCampaignTablesGolden among them).
+go test -count=1 -run 'Determinism|Memoized|Golden' ./internal/...
+GOMAXPROCS=1 go test -count=1 -run 'Determinism|Memoized|Golden' ./internal/...
