@@ -293,6 +293,53 @@ func TestHistoryIsolatedPerUser(t *testing.T) {
 	}
 }
 
+// TestHistoryBounded: the command history keeps only the newest historyCap
+// entries, and /v1/history still filters what is left per user.
+func TestHistoryBounded(t *testing.T) {
+	srv, _ := startCloud(t, nil)
+	alice := login(t, srv, "alice", "s3cret")
+	bob := login(t, srv, "bob", "hunter2")
+	const extra = 500
+	for i := 0; i < historyCap+extra; i++ {
+		user := "alice"
+		if i%2 == 1 {
+			user = "bob"
+		}
+		srv.record(user, commandRequest{Op: fmt.Sprintf("op-%d", i), DeviceID: "light-1"}, OutcomeForwarded, "")
+	}
+	if err := alice.Command("light.on", "light-1", nil); err != nil {
+		t.Fatal(err)
+	}
+	all := srv.History()
+	if len(all) != historyCap {
+		t.Fatalf("server history holds %d entries, want the cap %d", len(all), historyCap)
+	}
+	if want := fmt.Sprintf("op-%d", extra+1); all[0].Op != want {
+		t.Errorf("oldest retained = %q, want %q", all[0].Op, want)
+	}
+	if newest := all[len(all)-1]; newest.Op != "light.on" || newest.User != "alice" {
+		t.Errorf("newest retained = %+v, want alice's light.on", newest)
+	}
+	for _, c := range []struct {
+		client *Client
+		user   string
+		want   int
+	}{{alice, "alice", historyCap / 2}, {bob, "bob", historyCap / 2}} {
+		hist, err := c.client.History()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(hist) != c.want {
+			t.Errorf("%s sees %d entries, want %d", c.user, len(hist), c.want)
+		}
+		for _, e := range hist {
+			if e.User != c.user {
+				t.Fatalf("%s sees %s's entry %+v", c.user, e.User, e)
+			}
+		}
+	}
+}
+
 func sensorZero() time.Time { return time.Time{} }
 
 func TestLoginLockout(t *testing.T) {

@@ -254,7 +254,8 @@ func (s *Server) BindHome(homeID, user string) error {
 	return nil
 }
 
-// History returns a copy of the command log.
+// History returns a copy of the command log: the newest historyCap
+// entries, oldest first.
 func (s *Server) History() []HistoryEntry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -491,6 +492,14 @@ func (s *Server) handleCommand(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, commandResponse{Outcome: OutcomeForwarded})
 }
 
+// historyCap bounds the command history: any logged-in client drives it,
+// and /v1/history scans it under the lock every request takes.
+const historyCap = 4096
+
+// record appends one history entry, dropping the oldest past historyCap.
+// Re-slicing past the dropped entry is O(1); append reallocates only once
+// the spare tail is used up, copying the historyCap live entries, so an
+// append stays amortised O(1).
 func (s *Server) record(user string, req commandRequest, outcome, detail string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -498,6 +507,10 @@ func (s *Server) record(user string, req commandRequest, outcome, detail string)
 		User: user, Op: req.Op, DeviceID: req.DeviceID,
 		Outcome: outcome, Detail: detail, At: s.cfg.Now(),
 	})
+	if len(s.history) > historyCap {
+		s.history[0] = HistoryEntry{}
+		s.history = s.history[1:]
+	}
 }
 
 // healthzBody is the /healthz response document.

@@ -2,17 +2,35 @@ package core
 
 import (
 	"sync"
+	"time"
 
+	"iotsid/internal/dataset"
 	"iotsid/internal/instr"
 	"iotsid/internal/obs"
 )
 
 // LogEntry records one authorisation. Seq numbers the log's appends from 1.
 type LogEntry struct {
-	Seq      uint64   `json:"seq"`
-	Op       string   `json:"op"`
-	DeviceID string   `json:"device_id"`
-	Decision Decision `json:"decision"`
+	Seq      uint64       `json:"seq"`
+	Op       string       `json:"op"`
+	DeviceID string       `json:"device_id"`
+	Origin   instr.Origin `json:"origin"`
+	// ContextAt is the event time of the context the decision was judged
+	// against; zero when there was none.
+	ContextAt time.Time `json:"context_at"`
+	Decision  Decision  `json:"decision"`
+}
+
+// logCell is one stored ring slot: a LogEntry without its Seq (the slot's
+// append index) and with the time and origin packed. Every fleet home
+// allocates a ring of these, so the cell's size is fleet memory; see
+// TestLogCellSize.
+type logCell struct {
+	op, deviceID, reason, explanation string
+	model                             dataset.Model
+	at                                int64 // ContextAt as UnixNano; 0 = none
+	allowed, sensitive                bool
+	origin                            uint8
 }
 
 // DecisionLog is a fixed-capacity ring of authorisation records: the
@@ -21,8 +39,8 @@ type LogEntry struct {
 // which the optional eviction counter makes visible.
 type DecisionLog struct {
 	mu   sync.Mutex
-	buf  []LogEntry // ring storage, len == capacity
-	next uint64     // entries ever appended
+	buf  []logCell // ring storage, len == capacity
+	next uint64    // entries ever appended
 
 	appends   *obs.Counter // nil when uninstrumented
 	evictions *obs.Counter
@@ -38,17 +56,25 @@ func NewDecisionLog(capacity int, appends, evictions *obs.Counter) *DecisionLog 
 	if capacity <= 0 {
 		capacity = defaultLogCapacity
 	}
-	return &DecisionLog{buf: make([]LogEntry, capacity), appends: appends, evictions: evictions}
+	return &DecisionLog{buf: make([]logCell, capacity), appends: appends, evictions: evictions}
 }
 
-// Append records one decision, stamping it with the next sequence number.
+// Append records one decision judged against context stamped at (zero when
+// there was none), giving it the next sequence number.
 //
 //iot:hotpath
-func (l *DecisionLog) Append(in instr.Instruction, dec Decision) {
+func (l *DecisionLog) Append(in instr.Instruction, dec Decision, at time.Time) {
+	c := logCell{
+		op: in.Op, deviceID: in.DeviceID, reason: dec.Reason, explanation: dec.Explanation,
+		model: dec.Model, allowed: dec.Allowed, sensitive: dec.Sensitive, origin: uint8(in.Origin),
+	}
+	if !at.IsZero() {
+		c.at = at.UnixNano()
+	}
 	l.mu.Lock()
 	evicted := l.next >= uint64(len(l.buf))
+	l.buf[l.next%uint64(len(l.buf))] = c
 	l.next++
-	l.buf[(l.next-1)%uint64(len(l.buf))] = LogEntry{Seq: l.next, Op: in.Op, DeviceID: in.DeviceID, Decision: dec}
 	l.mu.Unlock()
 	l.appends.Inc()
 	if evicted {
@@ -67,7 +93,18 @@ func (l *DecisionLog) Recent(n int) []LogEntry {
 	keep := min(l.next, size, uint64(max(n, 0)))
 	out := make([]LogEntry, 0, keep)
 	for j := l.next - keep; j < l.next; j++ {
-		out = append(out, l.buf[j%size])
+		c := &l.buf[j%size]
+		e := LogEntry{
+			Seq: j + 1, Op: c.op, DeviceID: c.deviceID, Origin: instr.Origin(c.origin),
+			Decision: Decision{
+				Allowed: c.allowed, Sensitive: c.sensitive, Model: c.model,
+				Reason: c.reason, Explanation: c.explanation,
+			},
+		}
+		if c.at != 0 {
+			e.ContextAt = time.Unix(0, c.at).UTC()
+		}
+		out = append(out, e)
 	}
 	return out
 }

@@ -4,14 +4,12 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"iotsid/internal/instr"
 	"iotsid/internal/obs"
 	"iotsid/internal/sensor"
 	"iotsid/internal/seq"
-	"iotsid/internal/trace"
 )
 
 // Framework is the assembled IDS of Fig 3: detector → collector → feature
@@ -25,7 +23,6 @@ type Framework struct {
 	verdict   *VerdictStage
 
 	log     *DecisionLog
-	audit   atomic.Pointer[trace.Log]
 	metrics *frameworkMetrics
 	now     func() time.Time
 
@@ -99,12 +96,6 @@ func New(cfg Config) (*Framework, error) {
 	}, nil
 }
 
-// SetAuditLog attaches (or detaches) an audit trace: every authorisation
-// decision is appended to it as a trace.KindDecision event.
-func (f *Framework) SetAuditLog(l *trace.Log) {
-	f.audit.Store(l)
-}
-
 // Memory exposes the trained feature memory.
 func (f *Framework) Memory() *FeatureMemory { return f.memory }
 
@@ -132,7 +123,7 @@ func (f *Framework) Authorize(ctx context.Context, in instr.Instruction) (Decisi
 		return Decision{}, fmt.Errorf("core: collect context: %w", err)
 	}
 	why, missing := failReason(prov) //iot:allow hotcall the provenance scans allocate only on a degraded context; a healthy one yields nil lists
-	//iot:allow hotcall audit-trace fields map is only built when the optional audit log is attached; production steady state runs with it off
+	//iot:allow hotcall decide builds the missing-source explanation only on a degraded context; a healthy one appends a fixed-size log cell
 	dec, err := f.decide(in, snap, why, missing)
 	if err == nil {
 		f.metrics.observeLatency(f.now().Sub(start))
@@ -185,37 +176,13 @@ func (f *Framework) decide(in instr.Instruction, snap sensor.Snapshot, why FailR
 		dec.Explanation = in.Op + " blocked; missing required source(s): " + strings.Join(missing, ", ")
 	}
 	f.metrics.observeDecision(outcome, dec.Sensitive)
-	f.logDecision(in, dec, snap)
+	f.log.Append(in, dec, snap.At)
 	return dec, nil
 }
 
 // SeqAnomalies reports how many sensitive instructions the sequence judge
 // rejected after the static tree allowed them.
 func (f *Framework) SeqAnomalies() uint64 { return f.verdict.SeqAnomalies() }
-
-// logDecision appends a decision to the ring log and the audit trace.
-func (f *Framework) logDecision(in instr.Instruction, dec Decision, ctx sensor.Snapshot) {
-	f.log.Append(in, dec)
-	if audit := f.audit.Load(); audit != nil {
-		outcome := "allowed"
-		if !dec.Allowed {
-			outcome = "rejected"
-		}
-		fields := map[string]string{"origin": in.Origin.String()}
-		if dec.Model != "" {
-			fields["model"] = string(dec.Model)
-		}
-		audit.Append(trace.Event{
-			Kind:     trace.KindDecision,
-			DeviceID: in.DeviceID,
-			Op:       in.Op,
-			Outcome:  outcome,
-			Detail:   dec.Reason,
-			At:       ctx.At,
-			Fields:   fields,
-		})
-	}
-}
 
 // Log returns a copy of the retained authorisation log, oldest first. The
 // log is a bounded ring: once more decisions have been made than the

@@ -14,7 +14,6 @@ import (
 	"iotsid/internal/miio"
 	"iotsid/internal/sensor"
 	"iotsid/internal/smartthings"
-	"iotsid/internal/trace"
 )
 
 func frameworkForTest(t *testing.T, c Collector) *Framework {
@@ -354,36 +353,43 @@ func TestCollectorValidation(t *testing.T) {
 	}
 }
 
+// TestFrameworkAuditTrace: Framework.Log is the audit trail — each entry
+// carries the outcome, the deciding model, the instruction's origin and the
+// event time of the context it was judged against.
 func TestFrameworkAuditTrace(t *testing.T) {
-	f := frameworkForTest(t, staticCollector{snap: attackCtx(t, dataset.ModelWindow)})
-	audit := trace.NewLog(64)
-	f.SetAuditLog(audit)
+	scene := attackCtx(t, dataset.ModelWindow)
+	scene.At = time.Date(2021, 4, 1, 10, 1, 0, 0, time.UTC)
+	f := frameworkForTest(t, staticCollector{snap: scene})
 	if _, err := f.Authorize(context.Background(), buildInstr(t, "window.open", "window-1")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := f.Authorize(context.Background(), buildInstr(t, "window.get_state", "window-1")); err != nil {
 		t.Fatal(err)
 	}
-	events := audit.Select(trace.Query{Kind: trace.KindDecision})
-	if len(events) != 2 {
-		t.Fatalf("audit events = %d", len(events))
-	}
-	if events[0].Outcome != "rejected" || events[0].Fields["model"] != "window" {
-		t.Errorf("event 0 = %+v", events[0])
-	}
-	if events[1].Outcome != "allowed" {
-		t.Errorf("event 1 = %+v", events[1])
-	}
-	rejected := audit.CountByOutcome(trace.Query{})["rejected"]
-	if rejected != 1 {
-		t.Errorf("rejected = %d", rejected)
-	}
-	// Detaching stops auditing.
-	f.SetAuditLog(nil)
-	if _, err := f.Authorize(context.Background(), buildInstr(t, "window.open", "window-1")); err != nil {
+	auto, err := instr.BuiltinRegistry().Build("window.get_state", "window-1", instr.OriginAutomation, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if audit.Total() != 2 {
-		t.Errorf("audit grew after detach: %d", audit.Total())
+	if _, err := f.Judge(auto, sensor.Snapshot{}); err != nil {
+		t.Fatal(err)
+	}
+	log := f.Log()
+	if len(log) != 3 {
+		t.Fatalf("log entries = %d, want 3", len(log))
+	}
+	for i, e := range log {
+		if e.Seq != uint64(i+1) {
+			t.Errorf("entry %d seq = %d", i, e.Seq)
+		}
+	}
+	if e := log[0]; e.Decision.Allowed || e.Decision.Model != dataset.ModelWindow || e.Op != "window.open" ||
+		e.Origin != instr.OriginUser || !e.ContextAt.Equal(scene.At) {
+		t.Errorf("entry 0 = %+v, want a user-origin window rejection judged at %v", e, scene.At)
+	}
+	if e := log[1]; !e.Decision.Allowed || e.Op != "window.get_state" || !e.ContextAt.Equal(scene.At) {
+		t.Errorf("entry 1 = %+v, want an allow judged at %v", e, scene.At)
+	}
+	if e := log[2]; e.Origin != instr.OriginAutomation || !e.ContextAt.IsZero() {
+		t.Errorf("entry 2 = %+v, want an automation-origin entry with no context time", e)
 	}
 }

@@ -184,6 +184,48 @@ func TestMultiCollectorOptionalStaleFallback(t *testing.T) {
 	}
 }
 
+// TestMultiCollectorLastGoodKeepsNewest: a fresh collect stamped before the
+// stored last-good snapshot (a replayed reading) does not replace it, but
+// still refreshes the staleness clock.
+func TestMultiCollectorLastGoodKeepsNewest(t *testing.T) {
+	now := time.Unix(10_000, 0)
+	main := staticCollector{snap: snapAt(1, sensor.FeatSmoke, sensor.Bool(false))}
+	aux := &flakyCollector{snap: snapAt(5, sensor.FeatMotion, sensor.Bool(true))}
+	m, err := NewMultiCollector(MultiConfig{Now: func() time.Time { return now }},
+		Source{Name: "main", Required: true, Collector: main},
+		Source{Name: "aux", Staleness: 30 * time.Second, Collector: aux},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	collect := func() (sensor.Snapshot, Provenance) {
+		t.Helper()
+		snap, prov, err := m.CollectDetailed(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap, prov
+	}
+	collect()
+	// A replayed, older reading is served fresh this round ...
+	aux.set(snapAt(2, sensor.FeatMotion, sensor.Bool(false)), nil)
+	now = now.Add(20 * time.Second)
+	if snap, _ := collect(); snap.Bool(sensor.FeatMotion) {
+		t.Fatal("fresh replayed reading not served")
+	}
+	// ... but the fallback keeps the newer stamp, aged from the replay's
+	// collect.
+	aux.set(sensor.Snapshot{}, errors.New("gateway down"))
+	now = now.Add(20 * time.Second)
+	snap, prov := collect()
+	if prov[1].State != SourceStale || prov[1].Age != 20*time.Second {
+		t.Fatalf("aux status = %+v, want stale with age 20s", prov[1])
+	}
+	if !snap.Bool(sensor.FeatMotion) || !snap.At.Equal(time.Unix(5, 0)) {
+		t.Fatalf("fallback served %+v, want the t=5 last-good snapshot", snap)
+	}
+}
+
 // TestMultiCollectorRequiredMissing: a dead required source fails the
 // strict Collect with the source named, while CollectDetailed still serves
 // the partial context plus the provenance the framework needs to fail

@@ -86,7 +86,8 @@ func TestFrameworkFleetEquivalence(t *testing.T) {
 
 	var allowed, rejected, anomalies int
 	var last core.Decision
-	for i, st := range equivStream(t, 4101) {
+	stream := equivStream(t, 4101)
+	for i, st := range stream {
 		cur = st.snap
 		a, err := fw.Authorize(ctx, st.in)
 		if err != nil {
@@ -120,6 +121,20 @@ func TestFrameworkFleetEquivalence(t *testing.T) {
 	}
 	if want := uint64(anomalies); fw.SeqAnomalies() != want || fl.SeqAnomalies() != want {
 		t.Fatalf("SeqAnomalies: framework %d, fleet %d, want %d", fw.SeqAnomalies(), fl.SeqAnomalies(), want)
+	}
+	// Both pipelines log the same records, judged against the same context
+	// times: the newest 64 entries (the fleet home's whole ring).
+	h, _ := fl.Home("h")
+	fwLog, flLog := fw.LogRecent(64), h.LogRecent(64)
+	if want := min(len(stream), 64); len(fwLog) != want || len(flLog) != want {
+		t.Fatalf("log tails: framework %d entries, fleet %d, want %d", len(fwLog), len(flLog), want)
+	}
+	for i, a := range fwLog {
+		b := flLog[i]
+		if a.Op != b.Op || a.DeviceID != b.DeviceID || a.Origin != b.Origin ||
+			!a.ContextAt.Equal(b.ContextAt) || a.ContextAt.IsZero() || a.Decision != b.Decision {
+			t.Fatalf("log entry %d: framework %+v, fleet %+v", i, a, b)
+		}
 	}
 }
 

@@ -457,7 +457,7 @@ func (f *Fleet) authorizeHome(h *Home, in instr.Instruction) (core.Decision, err
 		return core.Decision{}, err
 	}
 	h.decisions.Add(1)
-	h.log.Append(in, dec)
+	h.log.Append(in, dec, snap.At)
 	f.metrics.observeDecision(h.shardIdx, outcome)
 	if c := h.tenant[outcome]; c != nil {
 		c.Inc()

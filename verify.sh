@@ -123,6 +123,22 @@ go test -count=1 -run '^$' -fuzz '^FuzzSequenceObserve$' -fuzztime 10s ./interna
 chain_smoke="$(go run ./cmd/fleetload -homes 200 -steps 3 -workers 2 -batch 64 -seed 1 -chain 0.2)"
 echo "$chain_smoke" | grep -q 'unsafe chain allows *0' || { echo 'fleetload chain smoke: unsafe chain allows not zero' >&2; exit 1; }
 
+# Deployment smoke: iotsidd runs the whole home (simulator, gateway,
+# bridge, automation, IDS) for a simulated day with periodic spoofing.
+# Its -audit file is the framework's decision log as JSON lines: it must
+# hold one line per printed decision, each carrying the event time of the
+# context that decision was judged against.
+audit="$(mktemp)"
+iotsidd_out="$(go run ./cmd/iotsidd -hours 24 -attack-every 2h -audit "$audit")"
+decisions="$(echo "$iotsidd_out" | sed -n 's/^decision log: \([0-9][0-9]*\) decisions recorded.*/\1/p')"
+audit_lines="$(wc -l <"$audit")"
+if [ ! -s "$audit" ] || [ "$audit_lines" -ne "${decisions:-0}" ] || grep -qv '"context_at":' "$audit"; then
+    echo "iotsidd smoke: audit file has $audit_lines lines for ${decisions:-no} printed decisions, or a line without context_at" >&2
+    rm -f "$audit"
+    exit 1
+fi
+rm -f "$audit"
+
 # Coverage gate: no package may fall below its recorded floor
 # (coverage_floors.txt; internal/obs carries a hard 90% minimum). The race
 # detector is off here so the allocation-count gates run too.
