@@ -276,7 +276,7 @@ func run() error {
 				continue
 			}
 			for k := 0; k < 3; k++ {
-				snap := warm.Clone()
+				snap := warm
 				snap.At = t0.Add(-time.Duration(k) * 5 * time.Second)
 				if err := fl.PushContext(ids[i], snap); err != nil {
 					return err

@@ -39,11 +39,15 @@ func run() error {
 	}
 	warner := core.NewCameraWarner()
 
+	fmt.Println("warnings as the camera pushes them:")
+	pushed := 0
 	steps := *days * 24 * 60
 	for i := 0; i < steps; i++ {
 		h.Env().Step(time.Minute)
 		snap := h.Env().Snapshot()
 		for _, w := range warner.Observe(snap) {
+			fmt.Printf("  %s  %s\n", w.At.Format("Jan 2 15:04"), w)
+			pushed++
 			// Push the alert through the camera device, as the linkage
 			// strategies do.
 			alert, err := instr.BuiltinRegistry().Build("camera.alert_user", cam.ID(),
@@ -57,8 +61,7 @@ func run() error {
 		}
 	}
 
-	history := warner.History()
-	fmt.Printf("simulated %d days: %d camera warnings pushed\n\n", *days, len(history))
+	fmt.Printf("\nsimulated %d days: %d camera warnings pushed\n\n", *days, pushed)
 	fmt.Println("warnings by trigger (compare Fig 7's category mix):")
 	stats := warner.Stats()
 	for _, trig := range []dataset.WarnTrigger{
@@ -66,14 +69,6 @@ func run() error {
 		dataset.WarnWaterLeak, dataset.WarnGas, dataset.WarnMotion,
 	} {
 		fmt.Printf("  %-22s %d\n", trig, stats[trig])
-	}
-	fmt.Println("\nlast five warnings:")
-	tail := history
-	if len(tail) > 5 {
-		tail = tail[len(tail)-5:]
-	}
-	for _, w := range tail {
-		fmt.Printf("  %s  %s\n", w.At.Format("Jan 2 15:04"), w)
 	}
 	camera, ok := cam.(*home.Camera)
 	if ok {

@@ -69,7 +69,8 @@ func run() error {
 	spoof.Set(sensor.FeatDoorLock, sensor.Label(sensor.LockUnlocked))
 	h.Env().Apply(spoof)
 	report(framework, engine.Evaluate(h.Env().Snapshot()))
-	fmt.Printf("  window open: %v\n\n", h.Env().Snapshot().Bool(sensor.FeatWindowOpen))
+	after := h.Env().Snapshot()
+	fmt.Printf("  window open: %v\n\n", after.Bool(sensor.FeatWindowOpen))
 
 	// --- Scene 2: a genuine fire with consistent correlates. ---
 	fmt.Println("scene 2: a genuine kitchen fire (smoke + bad air + people home)")
@@ -87,7 +88,8 @@ func run() error {
 	fire.Set(sensor.FeatDoorLock, sensor.Label(sensor.LockLocked))
 	h.Env().Apply(fire)
 	report(framework, engine.Evaluate(h.Env().Snapshot()))
-	fmt.Printf("  window open: %v\n", h.Env().Snapshot().Bool(sensor.FeatWindowOpen))
+	after = h.Env().Snapshot()
+	fmt.Printf("  window open: %v\n", after.Bool(sensor.FeatWindowOpen))
 	return nil
 }
 

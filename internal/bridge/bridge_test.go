@@ -75,13 +75,13 @@ func TestXiaomiGetPropRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("normalize: %v", err)
 	}
-	if err := snap.Validate(); err != nil {
+	if err := roundTrip(snap); err != nil {
 		t.Fatalf("normalized snapshot invalid: %v", err)
 	}
 	// The normalized snapshot must agree with the home's ground truth.
 	truth := h.Env().Snapshot()
 	for _, f := range truth.Features() {
-		want := truth.Values[f]
+		want, _ := truth.Get(f)
 		got, ok := snap.Get(f)
 		if !ok {
 			t.Errorf("feature %q lost on the wire", f)
@@ -154,7 +154,7 @@ func TestXiaomiExecuteAndGate(t *testing.T) {
 	if _, err := client.Call("execute", executeParams{Op: "window.open", Device: "window-1"}); err != nil {
 		t.Fatalf("execute: %v", err)
 	}
-	if !h.Env().Snapshot().Bool(sensor.FeatWindowOpen) {
+	if after := h.Env().Snapshot(); !after.Bool(sensor.FeatWindowOpen) {
 		t.Fatal("window.open did not reach the home")
 	}
 
@@ -167,7 +167,7 @@ func TestXiaomiExecuteAndGate(t *testing.T) {
 	if !errors.As(err, &rpcErr) {
 		t.Fatalf("want gated rpc error, got %v", err)
 	}
-	if h.Env().Snapshot().Bool(sensor.FeatWindowOpen) != true {
+	if after := h.Env().Snapshot(); !after.Bool(sensor.FeatWindowOpen) {
 		t.Error("gated instruction executed anyway")
 	}
 
@@ -207,7 +207,7 @@ func TestSTStatesRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if err := snap.Validate(); err != nil {
+	if err := roundTrip(snap); err != nil {
 		t.Fatalf("decoded snapshot invalid: %v", err)
 	}
 	truth := h.Env().Snapshot()
@@ -217,7 +217,7 @@ func TestSTStatesRoundTrip(t *testing.T) {
 			t.Errorf("feature %q lost", f)
 			continue
 		}
-		want := truth.Values[f]
+		want, _ := truth.Get(f)
 		if wn, isNum := want.Number(); isNum {
 			gn, _ := got.Number()
 			if math.Abs(wn-gn) > 0.01 {
@@ -290,8 +290,8 @@ func TestSTDecodeSkipsForeignEntities(t *testing.T) {
 	if !snap.Bool(sensor.FeatSmoke) {
 		t.Error("smoke lost")
 	}
-	if len(snap.Values) != 1 {
-		t.Errorf("values = %v", snap.Values)
+	if snap.Len() != 1 {
+		t.Errorf("features = %v", snap.Features())
 	}
 }
 
@@ -301,4 +301,14 @@ func TestSTDecodeBadState(t *testing.T) {
 	}); err == nil {
 		t.Error("want decode error")
 	}
+}
+
+// roundTrip sends a snapshot through the wire codec, whose decoder
+// rejects features, types and labels outside the vocabulary.
+func roundTrip(s sensor.Snapshot) error {
+	data, err := json.Marshal(s)
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(data, new(sensor.Snapshot))
 }

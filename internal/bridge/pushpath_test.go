@@ -117,8 +117,8 @@ func TestEventPumpHeartbeat(t *testing.T) {
 		if decoded != n {
 			t.Fatalf("decoded %d props of %d", decoded, n)
 		}
-		if len(snap.Values) != n {
-			t.Fatalf("snapshot has %d values, want %d", len(snap.Values), n)
+		if snap.Len() != n {
+			t.Fatalf("snapshot has %d values, want %d", snap.Len(), n)
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("heartbeat never arrived")
@@ -219,7 +219,7 @@ func TestDevModeFeedHandleReport(t *testing.T) {
 	}
 	v := st.View()
 	if v.Epoch != 1 || !v.Snap.Bool(sensor.FeatSmoke) {
-		t.Fatalf("report not pushed: epoch=%d snap=%v", v.Epoch, v.Snap.Values)
+		t.Fatalf("report not pushed: epoch=%d snap=%v", v.Epoch, v.Snap.Features())
 	}
 	if temp, _ := v.Snap.Number(sensor.FeatTempIndoor); temp != 21.5 {
 		t.Fatalf("temperature = %v, want 21.5", temp)
@@ -277,7 +277,7 @@ func TestDevModeFeedDrain(t *testing.T) {
 	}
 	v := st.View()
 	if v.Snap.Bool(sensor.FeatSmoke) || !v.Snap.Bool(sensor.FeatMotion) {
-		t.Fatalf("drained state wrong: %v", v.Snap.Values)
+		t.Fatalf("drained state wrong: %v", v.Snap.Features())
 	}
 	// Empty channel drains zero without blocking.
 	if pushed, err := feed.Drain(ch); err != nil || pushed != 0 {

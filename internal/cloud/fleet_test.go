@@ -2,6 +2,7 @@ package cloud
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -352,5 +353,48 @@ func TestRequestBodyBound(t *testing.T) {
 		if r.Error != "" || !r.Allowed {
 			t.Fatalf("64-item batch item %d = %+v", i, r)
 		}
+	}
+}
+
+// TestFleetSnapshotsSpeakTheVocabulary pins the fleet endpoints' wire
+// boundary to the sensor vocabulary: a pushed or inline snapshot naming a
+// feature outside it, carrying a value of the wrong type, or a label
+// outside its domain is refused with 400 at decode, the same path an
+// object-valued feature takes. A null-valued feature still decodes, so
+// the trust and epoch layers see it and flag it.
+func TestFleetSnapshotsSpeakTheVocabulary(t *testing.T) {
+	srv, _ := startFleetCloud(t, 1)
+	c := login(t, srv, "gateway", "s3cret")
+	post := func(path, body string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
+		req.Header.Set("Authorization", "Session "+c.session)
+		rec := httptest.NewRecorder()
+		srv.http.Handler.ServeHTTP(rec, req)
+		return rec
+	}
+	push := func(values string) string {
+		return `{"pushes":[{"home":"home-00","context":{"at":"2021-04-01T10:00:00Z","values":` + values + `}}]}`
+	}
+	inline := func(values string) string {
+		return `{"items":[{"home":"home-00","op":"light.get_state","device_id":"lamp-1",` +
+			`"context":{"at":"2021-04-01T10:00:00Z","values":` + values + `}}]}`
+	}
+	for _, values := range []string{
+		`{"temp_indoor":21.5}`, // unknown feature
+		`{"smoke":"yes"}`,      // wrong type
+		`{"door_lock":"ajar"}`, // label outside the domain
+		`{"smoke":{}}`,         // object value
+	} {
+		if rec := post("/v1/fleet/context", push(values)); rec.Code != http.StatusBadRequest {
+			t.Errorf("push %s = HTTP %d %s, want 400", values, rec.Code, rec.Body)
+		}
+		if rec := post("/v1/fleet/authorize", inline(values)); rec.Code != http.StatusBadRequest {
+			t.Errorf("inline context %s = HTTP %d %s, want 400", values, rec.Code, rec.Body)
+		}
+	}
+	rec := post("/v1/fleet/context", push(`{"smoke":null}`))
+	var resp fleetContextResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); rec.Code != http.StatusOK || err != nil || resp.Accepted != 1 {
+		t.Errorf("null-valued push = HTTP %d %s, want 200 with 1 accepted", rec.Code, rec.Body)
 	}
 }

@@ -181,7 +181,6 @@ func TestCommandFailsClosedOnLowTrust(t *testing.T) {
 	push := func(s sensor.Snapshot) {
 		t.Helper()
 		at = at.Add(time.Second)
-		s = s.Clone()
 		s.At = at
 		if err := st.Push("sim", s); err != nil {
 			t.Fatal(err)

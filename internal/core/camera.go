@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"time"
 
 	"iotsid/internal/dataset"
@@ -21,15 +22,15 @@ type Warning struct {
 // while nobody is home. The warner watches successive snapshots and emits a
 // warning on each rising edge of those conditions.
 type CameraWarner struct {
-	prev    sensor.Snapshot
-	primed  bool
-	history []Warning
+	prev   sensor.Snapshot
+	primed bool
+	counts map[dataset.WarnTrigger]int
 }
 
 // NewCameraWarner returns an unprimed warner; the first Observe only
 // establishes the baseline.
 func NewCameraWarner() *CameraWarner {
-	return &CameraWarner{}
+	return &CameraWarner{counts: make(map[dataset.WarnTrigger]int)}
 }
 
 // Observe processes the next snapshot and returns the warnings it raised.
@@ -45,7 +46,7 @@ func (w *CameraWarner) Observe(snap sensor.Snapshot) []Warning {
 	emit := func(trigger dataset.WarnTrigger, msg string) {
 		warning := Warning{Trigger: trigger, Message: msg, At: snap.At}
 		out = append(out, warning)
-		w.history = append(w.history, warning)
+		w.counts[trigger]++
 	}
 	rose := func(f sensor.Feature) bool {
 		return snap.Bool(f) && !w.prev.Bool(f)
@@ -71,20 +72,9 @@ func (w *CameraWarner) Observe(snap sensor.Snapshot) []Warning {
 	return out
 }
 
-// History returns every warning raised so far.
-func (w *CameraWarner) History() []Warning {
-	out := make([]Warning, len(w.history))
-	copy(out, w.history)
-	return out
-}
-
-// Stats tallies warnings per trigger.
+// Stats returns how many warnings each trigger has raised so far.
 func (w *CameraWarner) Stats() map[dataset.WarnTrigger]int {
-	out := make(map[dataset.WarnTrigger]int)
-	for _, warning := range w.history {
-		out[warning.Trigger]++
-	}
-	return out
+	return maps.Clone(w.counts)
 }
 
 // String renders a warning for logs.

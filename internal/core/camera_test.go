@@ -84,13 +84,29 @@ func TestCameraWarnerRisingEdges(t *testing.T) {
 		t.Fatalf("hazard warnings = %v", got)
 	}
 
+	hazards := map[dataset.WarnTrigger]int{}
+	for _, warning := range got {
+		hazards[warning.Trigger]++
+		if !warning.At.Equal(t0.Add(6 * time.Minute)) {
+			t.Errorf("warning %v stamped %v, want the snapshot's time", warning, warning.At)
+		}
+	}
+	if hazards[dataset.WarnDoorWindowOpened] != 1 || hazards[dataset.WarnSmokeFire] != 1 ||
+		hazards[dataset.WarnWaterLeak] != 1 || hazards[dataset.WarnGas] != 1 {
+		t.Errorf("hazard triggers = %v", hazards)
+	}
+
+	// The counts tally every warning Observe returned, and Stats hands
+	// out a copy.
 	stats := w.Stats()
 	if stats[dataset.WarnDoorWindowOpened] != 2 || stats[dataset.WarnSmokeFire] != 1 ||
-		stats[dataset.WarnWaterLeak] != 1 || stats[dataset.WarnGas] != 1 || stats[dataset.WarnMotion] != 1 {
+		stats[dataset.WarnWaterLeak] != 1 || stats[dataset.WarnGas] != 1 || stats[dataset.WarnMotion] != 1 ||
+		len(stats) != 5 {
 		t.Errorf("stats = %v", stats)
 	}
-	if len(w.History()) != 6 {
-		t.Errorf("history = %d", len(w.History()))
+	stats[dataset.WarnGas] = 99
+	if w.Stats()[dataset.WarnGas] != 1 {
+		t.Error("Stats shares the warner's counts")
 	}
 }
 

@@ -104,13 +104,13 @@ func (c *ChaosCollector) Collect(ctx context.Context) (sensor.Snapshot, error) {
 // flipBools is the default byzantine corruption: every boolean feature is
 // inverted, yielding a type-valid but physically inconsistent context.
 func flipBools(s sensor.Snapshot) sensor.Snapshot {
-	out := s.Clone()
-	for f, v := range out.Values {
+	for i := 0; i < sensor.NumFeatures; i++ {
+		f, v, _ := s.Slot(i)
 		if b, ok := v.Bool(); ok {
-			out.Values[f] = sensor.Bool(!b)
+			s.Set(f, sensor.Bool(!b))
 		}
 	}
-	return out
+	return s
 }
 
 // CorruptionKind selects a numeric corruption mode for byzantine faults —
@@ -153,16 +153,15 @@ func NumericCorruption(kind CorruptionKind, feature sensor.Feature, magnitude fl
 		if !ok {
 			return s
 		}
-		out := s.Clone()
 		switch kind {
 		case CorruptSpike:
-			out.Set(feature, sensor.Number(v+magnitude))
+			s.Set(feature, sensor.Number(v+magnitude))
 		case CorruptStuck:
-			out.Set(feature, sensor.Number(magnitude))
+			s.Set(feature, sensor.Number(magnitude))
 		case CorruptDrift:
-			out.Set(feature, sensor.Number(v+magnitude*float64(call+1)))
+			s.Set(feature, sensor.Number(v+magnitude*float64(call+1)))
 		}
-		return out
+		return s
 	}
 }
 

@@ -53,7 +53,7 @@ func TestChaosCollectorFaults(t *testing.T) {
 	// Call 0: pass-through.
 	snap, err := cc.Collect(context.Background())
 	if err != nil || snap.Bool(sensor.FeatSmoke) {
-		t.Fatalf("pass-through = %v, %v", snap.Values, err)
+		t.Fatalf("pass-through = %v, %v", snap.Features(), err)
 	}
 
 	// Call 1: injected error.
@@ -93,9 +93,8 @@ func TestChaosCollectorFaults(t *testing.T) {
 		Inner: staticCollector{snap: healthy},
 		Plan:  func(int) FaultKind { return FaultByzantine },
 		Corrupt: func(s sensor.Snapshot) sensor.Snapshot {
-			out := s.Clone()
-			out.Set(sensor.FeatAirQuality, sensor.Number(999))
-			return out
+			s.Set(sensor.FeatAirQuality, sensor.Number(999))
+			return s
 		},
 	}
 	snap, err = cc2.Collect(context.Background())
@@ -119,35 +118,39 @@ func TestNumericCorruptionModes(t *testing.T) {
 	base.Set(sensor.FeatAirQuality, sensor.Number(50))
 	base.Set(sensor.FeatMotion, sensor.Bool(true))
 
+	aqi := func(s sensor.Snapshot) float64 {
+		n, _ := s.Number(sensor.FeatAirQuality)
+		return n
+	}
 	spike := NumericCorruption(CorruptSpike, sensor.FeatAirQuality, 300)
-	if got, _ := spike(0, base).Number(sensor.FeatAirQuality); got != 350 {
+	if got := aqi(spike(0, base)); got != 350 {
 		t.Fatalf("spike = %v, want 350", got)
 	}
 	stuck := NumericCorruption(CorruptStuck, sensor.FeatAirQuality, 77)
 	for call := 0; call < 3; call++ {
-		if got, _ := stuck(call, base).Number(sensor.FeatAirQuality); got != 77 {
+		if got := aqi(stuck(call, base)); got != 77 {
 			t.Fatalf("stuck call %d = %v, want 77", call, got)
 		}
 	}
 	drift := NumericCorruption(CorruptDrift, sensor.FeatAirQuality, 1.5)
-	if got, _ := drift(0, base).Number(sensor.FeatAirQuality); got != 51.5 {
+	if got := aqi(drift(0, base)); got != 51.5 {
 		t.Fatalf("drift call 0 = %v, want 51.5", got)
 	}
-	if got, _ := drift(9, base).Number(sensor.FeatAirQuality); got != 65 {
+	if got := aqi(drift(9, base)); got != 65 {
 		t.Fatalf("drift call 9 = %v, want 65", got)
 	}
 	// The original snapshot is never mutated, and other features survive.
 	if got, _ := base.Number(sensor.FeatAirQuality); got != 50 {
 		t.Fatalf("corruption mutated the input: %v", got)
 	}
-	if !drift(3, base).Bool(sensor.FeatMotion) {
+	if out := drift(3, base); !out.Bool(sensor.FeatMotion) {
 		t.Fatal("corruption dropped an untouched feature")
 	}
 	// Snapshots without the target feature pass through untouched.
 	empty := sensor.NewSnapshot(time.Unix(5, 0))
 	empty.Set(sensor.FeatMotion, sensor.Bool(false))
-	if out := spike(0, empty); len(out.Values) != 1 {
-		t.Fatalf("missing-feature snapshot altered: %v", out.Values)
+	if out := spike(0, empty); out.Len() != 1 {
+		t.Fatalf("missing-feature snapshot altered: %v", out.Features())
 	}
 }
 

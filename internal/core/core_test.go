@@ -219,8 +219,11 @@ func TestJudgerDecisions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	judge := func(op, deviceID string, ctx sensor.Snapshot) (Decision, error) {
+		return j.Judge(buildInstr(t, op, deviceID), &ctx)
+	}
 	t.Run("non-sensitive allowed without context model", func(t *testing.T) {
-		dec, err := j.Judge(buildInstr(t, "window.get_state", "window-1"), sensor.NewSnapshot(sensorTime()))
+		dec, err := judge("window.get_state", "window-1", sensor.NewSnapshot(sensorTime()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,7 +232,7 @@ func TestJudgerDecisions(t *testing.T) {
 		}
 	})
 	t.Run("sensitive legal context allowed", func(t *testing.T) {
-		dec, err := j.Judge(buildInstr(t, "window.open", "window-1"), legalCtx(t, dataset.ModelWindow))
+		dec, err := judge("window.open", "window-1", legalCtx(t, dataset.ModelWindow))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,7 +241,7 @@ func TestJudgerDecisions(t *testing.T) {
 		}
 	})
 	t.Run("sensitive attack context rejected", func(t *testing.T) {
-		dec, err := j.Judge(buildInstr(t, "window.open", "window-1"), attackCtx(t, dataset.ModelWindow))
+		dec, err := judge("window.open", "window-1", attackCtx(t, dataset.ModelWindow))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,7 +250,7 @@ func TestJudgerDecisions(t *testing.T) {
 		}
 	})
 	t.Run("sensitive category outside model scope allowed", func(t *testing.T) {
-		dec, err := j.Judge(buildInstr(t, "alarm.siren_on", "alarm-hub-1"), sensor.NewSnapshot(sensorTime()))
+		dec, err := judge("alarm.siren_on", "alarm-hub-1", sensor.NewSnapshot(sensorTime()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,7 +287,8 @@ func TestJudgeExplainProvidesPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := j.Judge(buildInstr(t, "window.open", "window-1"), attackCtx(t, dataset.ModelWindow))
+	attack := attackCtx(t, dataset.ModelWindow)
+	dec, err := j.Judge(buildInstr(t, "window.open", "window-1"), &attack)
 	if err != nil {
 		t.Fatal(err)
 	}

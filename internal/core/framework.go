@@ -168,7 +168,7 @@ func (f *Framework) Judge(in instr.Instruction, ctx sensor.Snapshot) (Decision, 
 //
 //iot:failclosed
 func (f *Framework) decide(in instr.Instruction, snap sensor.Snapshot, why FailReason, missing []string) (Decision, error) {
-	dec, outcome, err := f.verdict.Decide(in, snap, why, f.seq, &f.seqTrack)
+	dec, outcome, err := f.verdict.Decide(in, &snap, why, f.seq, &f.seqTrack)
 	if err != nil {
 		return Decision{}, err
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -177,7 +178,7 @@ func TestFrameworkBlocksSpoofedSmokeAutomation(t *testing.T) {
 	if events[0].Allowed {
 		t.Fatalf("spoofed smoke attack executed: %+v", events[0])
 	}
-	if h.Env().Snapshot().Bool(sensor.FeatWindowOpen) {
+	if windowOpen(h) {
 		t.Fatal("window opened despite interception")
 	}
 
@@ -201,7 +202,7 @@ func TestFrameworkBlocksSpoofedSmokeAutomation(t *testing.T) {
 	if len(events) != 1 || !events[0].Allowed {
 		t.Fatalf("genuine fire blocked: %+v", events)
 	}
-	if !h.Env().Snapshot().Bool(sensor.FeatWindowOpen) {
+	if !windowOpen(h) {
 		t.Fatal("window did not open on a genuine fire")
 	}
 }
@@ -240,7 +241,7 @@ func TestFrameworkOverMiioPath(t *testing.T) {
 	if _, err := client.Call("execute", map[string]any{"op": "window.open", "device": "window-1"}); err == nil {
 		t.Fatal("attack-context window.open executed over miio")
 	}
-	if h.Env().Snapshot().Bool(sensor.FeatWindowOpen) {
+	if windowOpen(h) {
 		t.Fatal("window opened")
 	}
 
@@ -249,7 +250,7 @@ func TestFrameworkOverMiioPath(t *testing.T) {
 	if _, err := client.Call("execute", map[string]any{"op": "window.open", "device": "window-1"}); err != nil {
 		t.Fatalf("legal window.open rejected: %v", err)
 	}
-	if !h.Env().Snapshot().Bool(sensor.FeatWindowOpen) {
+	if !windowOpen(h) {
 		t.Fatal("window did not open")
 	}
 	// The collector really works over the wire.
@@ -257,7 +258,7 @@ func TestFrameworkOverMiioPath(t *testing.T) {
 	if err != nil {
 		t.Fatalf("collect over miio: %v", err)
 	}
-	if err := snap.Validate(); err != nil {
+	if err := roundTrip(snap); err != nil {
 		t.Fatalf("collected snapshot invalid: %v", err)
 	}
 }
@@ -294,7 +295,7 @@ func TestFrameworkOverSmartThingsPath(t *testing.T) {
 	if err != nil {
 		t.Fatalf("collect over REST: %v", err)
 	}
-	if err := snap.Validate(); err != nil {
+	if err := roundTrip(snap); err != nil {
 		t.Fatalf("collected snapshot invalid: %v", err)
 	}
 }
@@ -320,7 +321,7 @@ func TestMultiCollectorMergesVendors(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !snap.Bool(sensor.FeatSmoke) || !snap.Bool(sensor.FeatMotion) {
-		t.Errorf("merge lost values: %v", snap.Values)
+		t.Errorf("merge lost values: %v", snap.Features())
 	}
 	if n, _ := snap.Number(sensor.FeatTempIndoor); n != 20 {
 		t.Error("merge lost first-source value")
@@ -392,4 +393,20 @@ func TestFrameworkAuditTrace(t *testing.T) {
 	if e := log[2]; e.Origin != instr.OriginAutomation || !e.ContextAt.IsZero() {
 		t.Errorf("entry 2 = %+v, want an automation-origin entry with no context time", e)
 	}
+}
+
+// roundTrip sends a snapshot through the wire codec, whose decoder
+// rejects features, types and labels outside the vocabulary.
+func roundTrip(s sensor.Snapshot) error {
+	data, err := json.Marshal(s)
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(data, new(sensor.Snapshot))
+}
+
+// windowOpen reads the simulated home's window contact.
+func windowOpen(h *home.Home) bool {
+	s := h.Env().Snapshot()
+	return s.Bool(sensor.FeatWindowOpen)
 }

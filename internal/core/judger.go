@@ -153,7 +153,7 @@ func (j *Judger) outOfScopeReason(c instr.Category) string {
 //
 //iot:hotpath
 //iot:failclosed
-func (j *Judger) Judge(in instr.Instruction, ctx sensor.Snapshot) (Decision, error) {
+func (j *Judger) Judge(in instr.Instruction, ctx *sensor.Snapshot) (Decision, error) {
 	if !j.detector.IsSensitive(in) {
 		return Decision{
 			Allowed: true,
@@ -174,12 +174,12 @@ func (j *Judger) Judge(in instr.Instruction, ctx sensor.Snapshot) (Decision, err
 	// Fast path: the compiled tree answers allow/deny without allocating.
 	// Only an interception pays for the explaining walk — that is the
 	// decision a user actually reads.
-	legal, err := j.memory.Judge(m, ctx)
+	legal, err := j.memory.Judge(m, *ctx)
 	if err != nil {
 		return Decision{}, err
 	}
 	if !legal {
-		_, explanation, err := j.memory.JudgeExplain(m, ctx)
+		_, explanation, err := j.memory.JudgeExplain(m, *ctx)
 		if err != nil {
 			return Decision{}, err
 		}

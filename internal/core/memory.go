@@ -126,7 +126,7 @@ func (e *Entry) Compiled() *tree.Compiled { return e.compiled }
 // the flattened tree is walked without pointer chasing.
 //
 //iot:hotpath
-func (e *Entry) JudgeSnapshot(m dataset.Model, ctx sensor.Snapshot) (bool, error) {
+func (e *Entry) JudgeSnapshot(m dataset.Model, ctx *sensor.Snapshot) (bool, error) {
 	bufp := e.bufs.Get().(*[]float64)
 	err := m.FeaturizeInto(ctx, *bufp)
 	if err != nil {
@@ -316,7 +316,7 @@ func (fm *FeatureMemory) Judge(m dataset.Model, ctx sensor.Snapshot) (bool, erro
 		//iot:allow hotalloc error path, never taken steady-state; the AllocsPerRun gate proves the allow path is 0-alloc
 		return false, fmt.Errorf("core: no trained model for %s", m)
 	}
-	return e.JudgeSnapshot(m, ctx)
+	return e.JudgeSnapshot(m, &ctx)
 }
 
 // JudgeExplain judges a snapshot and also returns the decision path the

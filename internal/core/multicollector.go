@@ -407,7 +407,7 @@ func (m *MultiCollector) CollectDetailed(ctx context.Context) (sensor.Snapshot, 
 			}
 		}
 		if res.err == nil {
-			merged = merged.Merge(res.snap)
+			merged.Merge(&res.snap)
 			served++
 		}
 		if m.trust != nil {

@@ -30,7 +30,7 @@ func trustEngine(t *testing.T, source string) *trust.Engine {
 // guaranteed to fire the aqi_range invariant on every observation.
 func corruptScene(t *testing.T, at time.Time) sensor.Snapshot {
 	t.Helper()
-	s := legalCtx(t, dataset.ModelWindow).Clone()
+	s := legalCtx(t, dataset.ModelWindow)
 	s.At = at
 	s.Set(sensor.FeatAirQuality, sensor.Number(-1))
 	return s
@@ -154,7 +154,7 @@ func TestMultiCollectorTrustProvenance(t *testing.T) {
 	eng := trustEngine(t, "gw")
 	clk := newEpochClock()
 	src := &mutableCollector{}
-	clean := legalCtx(t, dataset.ModelWindow).Clone()
+	clean := legalCtx(t, dataset.ModelWindow)
 	clean.At = clk.Now()
 	src.set(clean)
 	mc, err := NewMultiCollector(MultiConfig{Now: clk.Now, Trust: eng},
@@ -229,7 +229,7 @@ func TestStrictCollectFailsClosedOnLowTrust(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean := legalCtx(t, dataset.ModelWindow).Clone()
+	clean := legalCtx(t, dataset.ModelWindow)
 	clean.At = clk.Now()
 	src.set(clean)
 	if _, err := mc.Collect(ctx); err != nil {
@@ -260,7 +260,7 @@ func TestStrictCollectFailsClosedOnLowTrust(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: CollectDetailed under low trust: %v", tc.name, err)
 		}
-		if len(snap.Values) == 0 {
+		if snap.Len() == 0 {
 			t.Errorf("%s: CollectDetailed served an empty snapshot", tc.name)
 		}
 		if lt := prov.LowTrustRequired(); len(lt) != 1 || lt[0] != tc.source {

@@ -87,7 +87,7 @@ func NewVerdictStage(d *Detector, store ModelStore, now func() time.Time, seqAno
 //
 //iot:hotpath
 //iot:failclosed
-func (s *VerdictStage) Decide(in instr.Instruction, snap sensor.Snapshot, why FailReason, set *seq.Set, tr *seq.Tracker) (Decision, Outcome, error) {
+func (s *VerdictStage) Decide(in instr.Instruction, snap *sensor.Snapshot, why FailReason, set *seq.Set, tr *seq.Tracker) (Decision, Outcome, error) {
 	if why.Degraded() && s.judger.detector.IsSensitive(in) {
 		return Decision{Allowed: false, Sensitive: true, Reason: why.text}, OutcomeFailClosed, nil
 	}
@@ -100,7 +100,7 @@ func (s *VerdictStage) Decide(in instr.Instruction, snap sensor.Snapshot, why Fa
 		if at.IsZero() {
 			at = s.now()
 		}
-		if v := set.ObserveJudge(tr, dec.Model, dec.Sensitive, dec.Allowed, snap, at); v.Anomalous {
+		if v := set.ObserveJudge(tr, dec.Model, dec.Sensitive, dec.Allowed, *snap, at); v.Anomalous {
 			s.seqAnoms.Add(1)
 			s.seqMetric.Inc()
 			return Decision{Allowed: false, Sensitive: true, Model: dec.Model, Reason: ReasonSeqAnomaly.text}, OutcomeReject, nil

@@ -17,7 +17,7 @@ func TestFeaturizeIntoZeroAllocs(t *testing.T) {
 		}
 		buf := make([]float64, m.FeatureWidth())
 		allocs := testing.AllocsPerRun(500, func() {
-			if err := m.FeaturizeInto(snap, buf); err != nil {
+			if err := m.FeaturizeInto(&snap, buf); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -165,6 +165,7 @@ func (m Model) Schema() (mlearn.Schema, error) {
 // hot path never rebuilds the feature list or re-queries the vocabulary.
 type featSpec struct {
 	feat   sensor.Feature
+	slot   int // the feature's sensor.Snapshot slot
 	typ    sensor.FeatureType
 	labels []string
 }
@@ -177,7 +178,8 @@ var modelSpecs = func() map[Model][]featSpec {
 		specs := make([]featSpec, len(feats))
 		for i, f := range feats {
 			d := sensor.MustDescribe(f)
-			specs[i] = featSpec{feat: f, typ: d.Type, labels: d.Labels}
+			slot, _ := sensor.SlotOf(f)
+			specs[i] = featSpec{feat: f, slot: slot, typ: d.Type, labels: d.Labels}
 		}
 		out[m] = specs
 	}
@@ -198,7 +200,7 @@ func (m Model) Featurize(snap sensor.Snapshot) ([]float64, error) {
 		return nil, fmt.Errorf("dataset: unknown model %q", m)
 	}
 	out := make([]float64, len(specs))
-	if err := m.FeaturizeInto(snap, out); err != nil {
+	if err := m.FeaturizeInto(&snap, out); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -209,7 +211,7 @@ func (m Model) Featurize(snap sensor.Snapshot) ([]float64, error) {
 // have exactly the model's FeatureWidth.
 //
 //iot:hotpath
-func (m Model) FeaturizeInto(snap sensor.Snapshot, buf []float64) error {
+func (m Model) FeaturizeInto(snap *sensor.Snapshot, buf []float64) error {
 	specs, ok := modelSpecs[m]
 	if !ok {
 		//iot:allow hotalloc error path, never taken steady-state; the AllocsPerRun gate proves the allow path is 0-alloc
@@ -221,7 +223,7 @@ func (m Model) FeaturizeInto(snap sensor.Snapshot, buf []float64) error {
 	}
 	for i := range specs {
 		s := &specs[i]
-		v, ok := snap.Get(s.feat)
+		_, v, ok := snap.Slot(s.slot)
 		if !ok {
 			//iot:allow hotalloc error path, never taken steady-state; the AllocsPerRun gate proves the allow path is 0-alloc
 			return fmt.Errorf("dataset: snapshot missing feature %q for model %s", s.feat, m)

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"encoding/json"
 	"math/rand"
 	"testing"
 
@@ -111,7 +112,7 @@ func TestFeaturizeRoundTrip(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s scene: %v", m, err)
 				}
-				if err := snap.Validate(); err != nil {
+				if err := roundTrip(snap); err != nil {
 					t.Fatalf("%s scene invalid: %v", m, err)
 				}
 				x, err := m.Featurize(snap)
@@ -181,7 +182,7 @@ func TestFeaturizeIntoMatchesFeaturize(t *testing.T) {
 			for j := range buf {
 				buf[j] = -99
 			}
-			if err := m.FeaturizeInto(snap, buf); err != nil {
+			if err := m.FeaturizeInto(&snap, buf); err != nil {
 				t.Fatalf("%s FeaturizeInto: %v", m, err)
 			}
 			for j := range want {
@@ -198,10 +199,10 @@ func TestFeaturizeIntoErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ModelWindow.FeaturizeInto(snap, make([]float64, 2)); err == nil {
+	if err := ModelWindow.FeaturizeInto(&snap, make([]float64, 2)); err == nil {
 		t.Error("want width-mismatch error")
 	}
-	if err := Model("fishtank").FeaturizeInto(snap, nil); err == nil {
+	if err := Model("fishtank").FeaturizeInto(&snap, nil); err == nil {
 		t.Error("want unknown-model error")
 	}
 	if ModelWindow.FeatureWidth() != len(ModelWindow.Features()) {
@@ -210,4 +211,14 @@ func TestFeaturizeIntoErrors(t *testing.T) {
 	if Model("fishtank").FeatureWidth() != 0 {
 		t.Error("unknown model width should be 0")
 	}
+}
+
+// roundTrip sends a snapshot through the wire codec, whose decoder
+// rejects features, types and labels outside the vocabulary.
+func roundTrip(s sensor.Snapshot) error {
+	data, err := json.Marshal(s)
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(data, new(sensor.Snapshot))
 }

@@ -31,27 +31,23 @@ func (s sampler) f(lo, hi float64) float64    { return lo + s.r.Float64()*(hi-lo
 func (s sampler) pick(xs ...string) string    { return xs[s.r.Intn(len(xs))] }
 func (s sampler) hour(lo, hi float64) float64 { return s.f(lo, hi) }
 
-func (s sampler) set(snap sensor.Snapshot, f sensor.Feature, v sensor.Value) {
-	snap.Set(f, v)
-}
-
 // LegalScene draws a positive-context snapshot for the model.
 func LegalScene(m Model, rng *rand.Rand) (sensor.Snapshot, error) {
 	s := sampler{r: rng}
 	snap := sensor.NewSnapshot(sceneTime)
 	switch m {
 	case ModelWindow:
-		legalWindow(s, snap)
+		legalWindow(s, &snap)
 	case ModelAircon:
-		legalAircon(s, snap)
+		legalAircon(s, &snap)
 	case ModelLight:
-		legalLight(s, snap)
+		legalLight(s, &snap)
 	case ModelCurtain:
-		legalCurtain(s, snap)
+		legalCurtain(s, &snap)
 	case ModelTV:
-		legalTV(s, snap)
+		legalTV(s, &snap)
 	case ModelKitchen:
-		legalKitchen(s, snap)
+		legalKitchen(s, &snap)
 	default:
 		return sensor.Snapshot{}, fmt.Errorf("dataset: unknown model %q", m)
 	}
@@ -76,17 +72,17 @@ func AttackScene(m Model, rng *rand.Rand) (sensor.Snapshot, error) {
 	snap := sensor.NewSnapshot(sceneTime)
 	switch m {
 	case ModelWindow:
-		attackWindow(s, snap)
+		attackWindow(s, &snap)
 	case ModelAircon:
-		attackAircon(s, snap)
+		attackAircon(s, &snap)
 	case ModelLight:
-		attackLight(s, snap)
+		attackLight(s, &snap)
 	case ModelCurtain:
-		attackCurtain(s, snap)
+		attackCurtain(s, &snap)
 	case ModelTV:
-		attackTV(s, snap)
+		attackTV(s, &snap)
 	case ModelKitchen:
-		attackKitchen(s, snap)
+		attackKitchen(s, &snap)
 	default:
 		return sensor.Snapshot{}, fmt.Errorf("dataset: unknown model %q", m)
 	}
@@ -102,7 +98,7 @@ func AttackScene(m Model, rng *rand.Rand) (sensor.Snapshot, error) {
 // Spoofed-smoke attacks are only separable from genuine hazards by the air
 // quality correlate, and imperfectly so — that residue is the window
 // model's (and the paper's) non-zero false-alarm rate.
-func legalWindow(s sampler, snap sensor.Snapshot) {
+func legalWindow(s sampler, snap *sensor.Snapshot) {
 	// Weak correlates shared by all legal scenes.
 	snap.Set(sensor.FeatTempIndoor, sensor.Number(s.f(16, 30)))
 	snap.Set(sensor.FeatWeather, sensor.Label(s.pick(sensor.WeatherSunny, sensor.WeatherSunny, sensor.WeatherCloudy, sensor.WeatherRain)))
@@ -125,7 +121,7 @@ func legalWindow(s sampler, snap sensor.Snapshot) {
 	}
 }
 
-func attackWindow(s sampler, snap sensor.Snapshot) {
+func attackWindow(s sampler, snap *sensor.Snapshot) {
 	// Weak correlates shared by all attack scenes.
 	snap.Set(sensor.FeatTempIndoor, sensor.Number(s.f(15, 30)))
 	snap.Set(sensor.FeatWeather, sensor.Label(s.pick(sensor.WeatherSunny, sensor.WeatherCloudy, sensor.WeatherRain, sensor.WeatherSnow)))
@@ -158,7 +154,7 @@ func attackWindow(s sampler, snap sensor.Snapshot) {
 
 // --- air conditioning (sensitive instruction: aircon.on / set mode) ---
 
-func legalAircon(s sampler, snap sensor.Snapshot) {
+func legalAircon(s sampler, snap *sensor.Snapshot) {
 	switch {
 	case s.b(0.55): // hot day, people home
 		snap.Set(sensor.FeatTempIndoor, sensor.Number(s.f(27, 35)))
@@ -187,7 +183,7 @@ func legalAircon(s sampler, snap sensor.Snapshot) {
 	}
 }
 
-func attackAircon(s sampler, snap sensor.Snapshot) {
+func attackAircon(s sampler, snap *sensor.Snapshot) {
 	switch {
 	case s.b(0.45): // energy-waste attack: cooling an already-cold empty home
 		snap.Set(sensor.FeatTempIndoor, sensor.Number(s.f(15, 22)))
@@ -218,7 +214,7 @@ func attackAircon(s sampler, snap sensor.Snapshot) {
 
 // --- light (sensitive instruction: light.on) ---
 
-func legalLight(s sampler, snap sensor.Snapshot) {
+func legalLight(s sampler, snap *sensor.Snapshot) {
 	switch {
 	case s.b(0.5): // dark + someone moving
 		snap.Set(sensor.FeatIlluminance, sensor.Number(s.f(0, 140)))
@@ -245,7 +241,7 @@ func legalLight(s sampler, snap sensor.Snapshot) {
 	}
 }
 
-func attackLight(s sampler, snap sensor.Snapshot) {
+func attackLight(s sampler, snap *sensor.Snapshot) {
 	switch {
 	case s.b(0.55): // casing the house: lights on while away at night
 		snap.Set(sensor.FeatIlluminance, sensor.Number(s.f(0, 120)))
@@ -264,7 +260,7 @@ func attackLight(s sampler, snap sensor.Snapshot) {
 
 // --- curtain (sensitive instruction: curtain.open) ---
 
-func legalCurtain(s sampler, snap sensor.Snapshot) {
+func legalCurtain(s sampler, snap *sensor.Snapshot) {
 	switch {
 	case s.b(0.5): // morning open, people home
 		snap.Set(sensor.FeatIlluminance, sensor.Number(s.f(150, 2500)))
@@ -290,7 +286,7 @@ func legalCurtain(s sampler, snap sensor.Snapshot) {
 	}
 }
 
-func attackCurtain(s sampler, snap sensor.Snapshot) {
+func attackCurtain(s sampler, snap *sensor.Snapshot) {
 	switch {
 	case s.b(0.6): // privacy attack: open the curtains at night
 		snap.Set(sensor.FeatIlluminance, sensor.Number(s.f(0, 60)))
@@ -311,7 +307,7 @@ func attackCurtain(s sampler, snap sensor.Snapshot) {
 
 // --- TV / stereo (sensitive instruction: tv.on) ---
 
-func legalTV(s sampler, snap sensor.Snapshot) {
+func legalTV(s sampler, snap *sensor.Snapshot) {
 	switch {
 	case s.b(0.6): // evening viewing
 		snap.Set(sensor.FeatOccupancy, sensor.Bool(true))
@@ -328,7 +324,7 @@ func legalTV(s sampler, snap sensor.Snapshot) {
 	}
 }
 
-func attackTV(s sampler, snap sensor.Snapshot) {
+func attackTV(s sampler, snap *sensor.Snapshot) {
 	switch {
 	case s.b(0.6): // scare attack: blast audio at night
 		snap.Set(sensor.FeatOccupancy, sensor.Bool(s.b(0.4)))
@@ -347,7 +343,7 @@ func attackTV(s sampler, snap sensor.Snapshot) {
 
 // --- kitchen (sensitive instruction: cooker.start / oven.preheat) ---
 
-func legalKitchen(s sampler, snap sensor.Snapshot) {
+func legalKitchen(s sampler, snap *sensor.Snapshot) {
 	meal := s.r.Intn(3)
 	var lo, hi float64
 	switch meal {
@@ -365,7 +361,7 @@ func legalKitchen(s sampler, snap sensor.Snapshot) {
 	snap.Set(sensor.FeatVoiceCmd, sensor.Bool(s.b(0.35)))
 }
 
-func attackKitchen(s sampler, snap sensor.Snapshot) {
+func attackKitchen(s sampler, snap *sensor.Snapshot) {
 	switch {
 	case s.b(0.5): // fire-risk attack: heat an empty home
 		snap.Set(sensor.FeatOccupancy, sensor.Bool(false))

@@ -237,8 +237,8 @@ func (s *Store) Push(source string, delta sensor.Snapshot) error {
 		}
 		return nil
 	}
-	for _, v := range delta.Values {
-		if v.IsZero() {
+	for k := 0; k < sensor.NumFeatures; k++ {
+		if _, v, ok := delta.Slot(k); ok && v.IsZero() {
 			if s.metrics != nil {
 				s.metrics.drops[i][dropIdxZeroValue].Inc()
 			}
@@ -250,9 +250,10 @@ func (s *Store) Push(source string, delta sensor.Snapshot) error {
 	next := &View{
 		Epoch:    cur.Epoch + 1,
 		At:       cur.At,
-		Snap:     cur.Snap.Merge(delta),
+		Snap:     cur.Snap,
 		PushedAt: make([]time.Time, len(cur.PushedAt)),
 	}
+	next.Snap.Merge(&delta)
 	copy(next.PushedAt, cur.PushedAt)
 	next.PushedAt[i] = now
 	if at.After(next.At) {

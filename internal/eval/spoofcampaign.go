@@ -198,7 +198,7 @@ func (s *Suite) spoofRound(ctx context.Context, sc SpoofScenario, unit int64) (s
 	}
 	t0 := now
 	cleanSnap := func(i int) sensor.Snapshot {
-		out := base.Clone()
+		out := base
 		out.At = t0.Add(time.Duration(i) * spoofPushInterval)
 		if v, ok := out.Number(sensor.FeatTempIndoor); ok {
 			out.Set(sensor.FeatTempIndoor, sensor.Number(v+0.2*math.Sin(float64(i)*0.9)))

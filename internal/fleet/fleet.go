@@ -186,6 +186,9 @@ type Home struct {
 	tenant    [core.OutcomeCount]*obs.Counter // nil cells when not individually instrumented
 }
 
+// noContext is the read-only empty snapshot judged for a home with no view.
+var noContext sensor.Snapshot
+
 // homeView is one immutable published context: the snapshot plus the
 // receive stamp the freshness budget is differenced against.
 type homeView struct {
@@ -381,14 +384,14 @@ func (f *Fleet) PushContext(id string, snap sensor.Snapshot) error {
 	if !ok {
 		return fmt.Errorf("fleet: unknown home %q", id)
 	}
-	f.push(h, snap)
+	f.push(h, &snap)
 	return nil
 }
 
 // push stores the view on a known home handle, unless it is out of order.
 //
 //iot:hotpath
-func (f *Fleet) push(h *Home, snap sensor.Snapshot) {
+func (f *Fleet) push(h *Home, snap *sensor.Snapshot) {
 	now := f.now()
 	if h.trust != nil {
 		// Score on the device's event time when it carries one (the
@@ -398,12 +401,12 @@ func (f *Fleet) push(h *Home, snap sensor.Snapshot) {
 		if at.IsZero() {
 			at = now
 		}
-		h.trust.Observe(h.trustSource, snap, at) //iot:allow hotcall per-push trust scoring holds a lock by design; the authorize fast path never calls it
+		h.trust.Observe(h.trustSource, *snap, at) //iot:allow hotcall per-push trust scoring holds a lock by design; the authorize fast path never calls it
 	}
 	if cur := h.view.Load(); cur != nil && !snap.At.IsZero() && !cur.snap.At.IsZero() && snap.At.Before(cur.snap.At) {
 		return
 	}
-	h.view.Store(&homeView{snap: snap, at: now})
+	h.view.Store(&homeView{snap: *snap, at: now})
 	h.pushes.Add(1)
 	f.metrics.observePush()
 }
@@ -438,19 +441,19 @@ func (f *Fleet) Authorize(ctx context.Context, homeID string, in instr.Instructi
 //iot:failclosed
 func (f *Fleet) authorizeHome(h *Home, in instr.Instruction) (core.Decision, error) {
 	v := h.view.Load()
-	var snap sensor.Snapshot
+	snap := &noContext
 	var why core.FailReason
 	switch {
 	case v == nil:
 		why = core.ReasonNoContext
 	case h.freshFor > 0 && f.now().Sub(v.at) > h.freshFor:
-		snap, why = v.snap, core.ReasonStale
+		snap, why = &v.snap, core.ReasonStale
 	case h.LowTrust():
 		// Fresh but not believable: a spoofed feed that keeps pushing is
 		// the one degraded shape freshness budgets cannot see.
-		snap, why = v.snap, core.ReasonLowTrust
+		snap, why = &v.snap, core.ReasonLowTrust
 	default:
-		snap = v.snap
+		snap = &v.snap
 	}
 	dec, outcome, err := f.verdict.Decide(in, snap, why, h.seqSet, &h.seqTrack)
 	if err != nil {
@@ -527,7 +530,7 @@ func (f *Fleet) AuthorizeBatch(ctx context.Context, items []BatchItem, workers i
 				continue
 			}
 			if it.Context != nil {
-				f.push(h, *it.Context)
+				f.push(h, it.Context)
 			}
 			dec, err := f.authorizeHome(h, it.In)
 			if err != nil {

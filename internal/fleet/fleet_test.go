@@ -571,7 +571,6 @@ func TestJumpHashProperties(t *testing.T) {
 // armed trust engine still observes every dropped replay.
 func TestPushDropsOutOfOrderContext(t *testing.T) {
 	stamped := func(s sensor.Snapshot, sec int64) sensor.Snapshot {
-		s = s.Clone()
 		s.At = time.Unix(sec, 0)
 		return s
 	}
@@ -606,7 +605,7 @@ func TestPushDropsOutOfOrderContext(t *testing.T) {
 		t.Fatalf("stale inline context judged instead of the newer view: %+v (view at %d)", out[0].Decision, viewAt())
 	}
 	// An unstamped push carries no order and is accepted.
-	if err := f.PushContext("h", legal.Clone()); err != nil || h.Pushes() != 3 {
+	if err := f.PushContext("h", legal); err != nil || h.Pushes() != 3 {
 		t.Fatalf("unstamped push: err %v, %d pushes", err, h.Pushes())
 	}
 

@@ -120,7 +120,7 @@ func (r *ModelRegistry) Judge(m dataset.Model, ctx sensor.Snapshot) (bool, error
 		//iot:allow hotalloc error path, never taken steady-state; the AllocsPerRun gate proves the allow path is 0-alloc
 		return false, fmt.Errorf("fleet: no compiled model for %s", m)
 	}
-	return e.JudgeSnapshot(m, ctx)
+	return e.JudgeSnapshot(m, &ctx)
 }
 
 // JudgeExplain implements core.ModelStore with the explaining walk.

@@ -29,7 +29,7 @@ func trustEngine(t testing.TB) *trust.Engine {
 // every push fires the aqi_range invariant.
 func corruptCtx(t testing.TB, at time.Time) sensor.Snapshot {
 	t.Helper()
-	s := legalCtx(t, dataset.ModelWindow).Clone()
+	s := legalCtx(t, dataset.ModelWindow)
 	s.At = at
 	s.Set(sensor.FeatAirQuality, sensor.Number(-1))
 	return s

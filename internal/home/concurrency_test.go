@@ -73,7 +73,7 @@ func TestConcurrentStepExecuteSnapshot(t *testing.T) {
 					return
 				default:
 					snap := h.Env().Snapshot()
-					if err := snap.Validate(); err != nil {
+					if err := roundTrip(snap); err != nil {
 						t.Errorf("snapshot invalid under concurrency: %v", err)
 						return
 					}

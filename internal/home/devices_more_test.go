@@ -28,9 +28,9 @@ func TestTVControls(t *testing.T) {
 		t.Errorf("tv state = %v", st)
 	}
 	// Idempotent power accounting.
-	before, _ := h.Env().Snapshot().Number(sensor.FeatPowerDraw)
+	before := envNumber(h.Env(), sensor.FeatPowerDraw)
 	exec(t, h, "tv.on", "tv-1", nil)
-	after, _ := h.Env().Snapshot().Number(sensor.FeatPowerDraw)
+	after := envNumber(h.Env(), sensor.FeatPowerDraw)
 	if before != after {
 		t.Error("double tv.on changed power draw")
 	}
@@ -82,9 +82,9 @@ func TestVacuumAndMower(t *testing.T) {
 	if d.State()["state"] != "cleaning" {
 		t.Errorf("state = %v", d.State()["state"])
 	}
-	before, _ := h.Env().Snapshot().Number(sensor.FeatPowerDraw)
+	before := envNumber(h.Env(), sensor.FeatPowerDraw)
 	exec(t, h, "vacuum.start", "vacuum-1", nil) // idempotent
-	after, _ := h.Env().Snapshot().Number(sensor.FeatPowerDraw)
+	after := envNumber(h.Env(), sensor.FeatPowerDraw)
 	if before != after {
 		t.Error("double start changed power")
 	}
@@ -114,7 +114,7 @@ func TestCameraAndAlarmControls(t *testing.T) {
 	}
 	// Siren drives the noise level.
 	h.Env().Step(time.Minute)
-	if n, _ := h.Env().Snapshot().Number(sensor.FeatNoise); n < 60 {
+	if n := envNumber(h.Env(), sensor.FeatNoise); n < 60 {
 		t.Errorf("noise with siren = %v", n)
 	}
 	// Disarm silences the siren too.
@@ -188,7 +188,7 @@ func TestSeasonalColdAllowsSnow(t *testing.T) {
 	sawSnow := false
 	for i := 0; i < 20000 && !sawSnow; i++ {
 		env.Step(5 * time.Minute)
-		if env.Snapshot().LabelOr(sensor.FeatWeather, "") == sensor.WeatherSnow {
+		if envLabel(env, sensor.FeatWeather) == sensor.WeatherSnow {
 			sawSnow = true
 		}
 	}

@@ -1,6 +1,7 @@
 package home
 
 import (
+	"encoding/json"
 	"errors"
 	"testing"
 	"time"
@@ -81,15 +82,15 @@ func TestExecuteRouting(t *testing.T) {
 
 func TestWindowAffectsSnapshotAndPhysics(t *testing.T) {
 	h := newTestHome(t)
-	if h.Env().Snapshot().Bool(sensor.FeatWindowOpen) {
+	if envBool(h.Env(), sensor.FeatWindowOpen) {
 		t.Fatal("window should start closed")
 	}
 	exec(t, h, "window.open", "window-1", nil)
-	if !h.Env().Snapshot().Bool(sensor.FeatWindowOpen) {
+	if !envBool(h.Env(), sensor.FeatWindowOpen) {
 		t.Fatal("window.open not reflected in snapshot")
 	}
 	exec(t, h, "window.close", "window-1", nil)
-	if h.Env().Snapshot().Bool(sensor.FeatWindowOpen) {
+	if envBool(h.Env(), sensor.FeatWindowOpen) {
 		t.Fatal("window.close not reflected")
 	}
 }
@@ -113,27 +114,27 @@ func TestLockAndDoor(t *testing.T) {
 	exec(t, h, "door.close", "lock-1", nil)
 	exec(t, h, "lock.lock", "lock-1", nil)
 	exec(t, h, "door.open", "lock-1", nil)
-	if h.Env().Snapshot().LabelOr(sensor.FeatDoorLock, "") != sensor.LockUnlocked {
+	if envLabel(h.Env(), sensor.FeatDoorLock) != sensor.LockUnlocked {
 		t.Error("opening the door must release the lock")
 	}
 }
 
 func TestLightPowerAndIlluminance(t *testing.T) {
 	h := newTestHome(t)
-	before, _ := h.Env().Snapshot().Number(sensor.FeatPowerDraw)
+	before := envNumber(h.Env(), sensor.FeatPowerDraw)
 	exec(t, h, "light.on", "light-1", nil)
-	after, _ := h.Env().Snapshot().Number(sensor.FeatPowerDraw)
+	after := envNumber(h.Env(), sensor.FeatPowerDraw)
 	if after <= before {
 		t.Errorf("power draw should rise with light on: %v -> %v", before, after)
 	}
 	// Idempotent: double-on does not double-count.
 	exec(t, h, "light.on", "light-1", nil)
-	again, _ := h.Env().Snapshot().Number(sensor.FeatPowerDraw)
+	again := envNumber(h.Env(), sensor.FeatPowerDraw)
 	if again != after {
 		t.Errorf("double light.on changed power: %v -> %v", after, again)
 	}
 	exec(t, h, "light.off", "light-1", nil)
-	off, _ := h.Env().Snapshot().Number(sensor.FeatPowerDraw)
+	off := envNumber(h.Env(), sensor.FeatPowerDraw)
 	if off != before {
 		t.Errorf("light.off should restore power: %v, want %v", off, before)
 	}
@@ -161,11 +162,11 @@ func TestAirconHeatsAndCools(t *testing.T) {
 	env := h.Env()
 	exec(t, h, "aircon.set_heat", "aircon-1", nil)
 	exec(t, h, "thermostat.set_target", "aircon-1", map[string]any{"target": 26})
-	start, _ := env.Snapshot().Number(sensor.FeatTempIndoor)
+	start := envNumber(env, sensor.FeatTempIndoor)
 	for i := 0; i < 60; i++ {
 		env.Step(time.Minute)
 	}
-	warm, _ := env.Snapshot().Number(sensor.FeatTempIndoor)
+	warm := envNumber(env, sensor.FeatTempIndoor)
 	if warm <= start {
 		t.Errorf("heating did not raise indoor temp: %v -> %v", start, warm)
 	}
@@ -174,7 +175,7 @@ func TestAirconHeatsAndCools(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		env.Step(time.Minute)
 	}
-	cool, _ := env.Snapshot().Number(sensor.FeatTempIndoor)
+	cool := envNumber(env, sensor.FeatTempIndoor)
 	if cool >= warm {
 		t.Errorf("cooling did not lower indoor temp: %v -> %v", warm, cool)
 	}
@@ -190,12 +191,12 @@ func TestCookingRaisesAQIAndSmokeRisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	env := h.Env()
-	base, _ := env.Snapshot().Number(sensor.FeatAirQuality)
+	base := envNumber(env, sensor.FeatAirQuality)
 	exec(t, h, "cooker.start", "cooker-1", nil)
 	for i := 0; i < 120; i++ {
 		env.Step(time.Minute)
 	}
-	cookAQI, _ := env.Snapshot().Number(sensor.FeatAirQuality)
+	cookAQI := envNumber(env, sensor.FeatAirQuality)
 	if cookAQI <= base {
 		t.Errorf("cooking should raise AQI: %v -> %v", base, cookAQI)
 	}
@@ -229,7 +230,7 @@ func TestEnvironmentSnapshotValid(t *testing.T) {
 	env := NewEnvironment(EnvConfig{Seed: 9})
 	for i := 0; i < 500; i++ {
 		env.Step(7 * time.Minute)
-		if err := env.Snapshot().Validate(); err != nil {
+		if err := roundTrip(env.Snapshot()); err != nil {
 			t.Fatalf("step %d: invalid snapshot: %v", i, err)
 		}
 	}
@@ -298,9 +299,35 @@ func TestStatusInstructionsAreNoOps(t *testing.T) {
 		exec(t, h, pair[0], pair[1], nil)
 	}
 	after := h.Env().Snapshot()
-	for f, v := range before.Values {
-		if !after.Values[f].Equal(v) {
-			t.Errorf("status op mutated %q: %v -> %v", f, v, after.Values[f])
-		}
+	if after != before {
+		t.Errorf("status ops mutated the context: %v -> %v", before, after)
 	}
+}
+
+// roundTrip sends a snapshot through the wire codec, whose decoder
+// rejects features, types and labels outside the vocabulary.
+func roundTrip(s sensor.Snapshot) error {
+	data, err := json.Marshal(s)
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(data, new(sensor.Snapshot))
+}
+
+// envNumber, envBool and envLabel read one feature of the environment's
+// current snapshot.
+func envNumber(e *Environment, f sensor.Feature) float64 {
+	s := e.Snapshot()
+	n, _ := s.Number(f)
+	return n
+}
+
+func envBool(e *Environment, f sensor.Feature) bool {
+	s := e.Snapshot()
+	return s.Bool(f)
+}
+
+func envLabel(e *Environment, f sensor.Feature) string {
+	s := e.Snapshot()
+	return s.LabelOr(f, "")
 }

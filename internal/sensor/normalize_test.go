@@ -30,7 +30,7 @@ func TestNormalizerXiaomiStyle(t *testing.T) {
 	if got := snap.LabelOr(FeatDoorLock, ""); got != LockLocked {
 		t.Errorf("lock = %q", got)
 	}
-	if err := snap.Validate(); err != nil {
+	if err := conforms(snap); err != nil {
 		t.Errorf("normalized snapshot invalid: %v", err)
 	}
 }

@@ -1,6 +1,8 @@
 package sensor
 
 import (
+	"bytes"
+	"encoding/json"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -38,41 +40,55 @@ func TestMergePropertiesQuick(t *testing.T) {
 
 		// Identity.
 		empty := NewSnapshot(time.Time{})
-		id := a.Merge(empty)
-		if len(id.Values) != len(a.Values) {
+		id := a
+		id.Merge(&empty)
+		if !sameValues(id, a) {
 			return false
 		}
-		for k, v := range a.Values {
-			if !id.Values[k].Equal(v) {
-				return false
-			}
-		}
 		// Idempotence.
-		self := a.Merge(a)
-		if len(self.Values) != len(a.Values) {
+		self := a
+		self.Merge(&a)
+		if !sameValues(self, a) {
 			return false
 		}
 		// Overlay wins; union of keys.
-		m := a.Merge(b)
-		for k, v := range b.Values {
-			if !m.Values[k].Equal(v) {
+		m := a
+		m.Merge(&b)
+		for _, d := range Vocabulary() {
+			mv, inM := m.Get(d.Feature)
+			av, inA := a.Get(d.Feature)
+			bv, inB := b.Get(d.Feature)
+			switch {
+			case inM != (inA || inB):
+				return false
+			case inB && mv != bv, !inB && inA && mv != av:
 				return false
 			}
 		}
-		for k, v := range a.Values {
-			if _, inB := b.Values[k]; !inB && !m.Values[k].Equal(v) {
-				return false
-			}
-		}
-		return len(m.Values) <= len(a.Values)+len(b.Values)
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }
 
+// legacyJSON is the snapshot's wire form as encoding/json renders it from
+// a feature-keyed map: MarshalJSON must emit exactly these bytes.
+func legacyJSON(s Snapshot) ([]byte, error) {
+	vals := make(map[string]Value, s.Len())
+	for i := 0; i < NumFeatures; i++ {
+		if f, v, ok := s.Slot(i); ok {
+			vals[string(f)] = v
+		}
+	}
+	return json.Marshal(struct {
+		At     time.Time        `json:"at"`
+		Values map[string]Value `json:"values"`
+	}{s.At, vals})
+}
+
 // TestSnapshotJSONQuick round-trips random snapshots through the unified
-// JSON form.
+// JSON form, whose bytes match encoding/json's rendering of a map.
 func TestSnapshotJSONQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -85,15 +101,8 @@ func TestSnapshotJSONQuick(t *testing.T) {
 		if err := back.UnmarshalJSON(data); err != nil {
 			return false
 		}
-		if len(back.Values) != len(s.Values) {
-			return false
-		}
-		for k, v := range s.Values {
-			if !back.Values[k].Equal(v) {
-				return false
-			}
-		}
-		return back.Validate() == nil
+		legacy, err := legacyJSON(s)
+		return err == nil && bytes.Equal(data, legacy) && sameValues(back, s)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -104,7 +104,7 @@ const (
 // FeatureType describes how a feature's values behave, mirroring the paper's
 // split between "logic-oriented discrete values and data-oriented continuous
 // values".
-type FeatureType int
+type FeatureType uint8
 
 // Feature types.
 const (
@@ -201,60 +201,81 @@ func TimeBucketLabel(hour float64) string {
 	return timeBucketLabels[TimeBucketIndex(hour)]
 }
 
-var vocabulary = []Descriptor{
-	{Feature: FeatSmoke, Type: TypeBool, Source: KindSmoke},
-	{Feature: FeatGas, Type: TypeBool, Source: KindCombustibleGas},
-	{Feature: FeatVoiceCmd, Type: TypeBool, Source: KindVoiceAssistant},
-	{Feature: FeatDoorLock, Type: TypeLabel, Source: KindSmartLock, Labels: []string{LockLocked, LockUnlocked}},
-	{Feature: FeatTempIndoor, Type: TypeNumber, Source: KindTemperature, Unit: "°C"},
+// NumFeatures is the size of the feature vocabulary: the number of value
+// slots in a Snapshot.
+const NumFeatures = 21
+
+// vocabulary is in feature-name order, and a feature's position here is
+// its Snapshot slot, so walking a snapshot's slots visits its features
+// sorted by name (TestVocabularySortedByName keeps it that way).
+var vocabulary = [NumFeatures]Descriptor{
 	{Feature: FeatAirQuality, Type: TypeNumber, Source: KindAirQuality, Unit: "AQI"},
-	{Feature: FeatWeather, Type: TypeLabel, Source: KindWeatherStation, Labels: []string{WeatherSunny, WeatherCloudy, WeatherRain, WeatherSnow}},
-	{Feature: FeatMotion, Type: TypeBool, Source: KindMotion},
+	{Feature: FeatGas, Type: TypeBool, Source: KindCombustibleGas},
+	{Feature: FeatDoorLock, Type: TypeLabel, Source: KindSmartLock, Labels: []string{LockLocked, LockUnlocked}},
+	{Feature: FeatDoorOpen, Type: TypeBool, Source: KindDoorWindowContact},
 	{Feature: FeatHour, Type: TypeNumber, Source: KindClock, Unit: "h"},
-	{Feature: FeatTempOutdoor, Type: TypeNumber, Source: KindWeatherStation, Unit: "°C"},
 	{Feature: FeatHumidity, Type: TypeNumber, Source: KindHumidity, Unit: "%RH"},
 	{Feature: FeatIlluminance, Type: TypeNumber, Source: KindIlluminance, Unit: "lux"},
-	{Feature: FeatWaterLeak, Type: TypeBool, Source: KindWaterLeak},
-	{Feature: FeatOccupancy, Type: TypeBool, Source: KindOccupancy},
-	{Feature: FeatWindowOpen, Type: TypeBool, Source: KindDoorWindowContact},
-	{Feature: FeatDoorOpen, Type: TypeBool, Source: KindDoorWindowContact},
-	{Feature: FeatNoise, Type: TypeNumber, Source: KindNoise, Unit: "dB"},
-	{Feature: FeatPowerDraw, Type: TypeNumber, Source: KindPowerMeter, Unit: "W"},
-	{Feature: FeatTimeBucket, Type: TypeLabel, Source: KindClock, Labels: []string{BucketNight, BucketMorning, BucketAfternoon, BucketEvening}},
-	{Feature: FeatOccupancyDwell, Type: TypeNumber, Source: KindOccupancy, Unit: "s"},
 	{Feature: FeatInstrGap, Type: TypeNumber, Source: KindClock, Unit: "s"},
+	{Feature: FeatMotion, Type: TypeBool, Source: KindMotion},
+	{Feature: FeatNoise, Type: TypeNumber, Source: KindNoise, Unit: "dB"},
+	{Feature: FeatOccupancy, Type: TypeBool, Source: KindOccupancy},
+	{Feature: FeatOccupancyDwell, Type: TypeNumber, Source: KindOccupancy, Unit: "s"},
+	{Feature: FeatWeather, Type: TypeLabel, Source: KindWeatherStation, Labels: []string{WeatherSunny, WeatherCloudy, WeatherRain, WeatherSnow}},
+	{Feature: FeatPowerDraw, Type: TypeNumber, Source: KindPowerMeter, Unit: "W"},
+	{Feature: FeatSmoke, Type: TypeBool, Source: KindSmoke},
+	{Feature: FeatTempIndoor, Type: TypeNumber, Source: KindTemperature, Unit: "°C"},
+	{Feature: FeatTempOutdoor, Type: TypeNumber, Source: KindWeatherStation, Unit: "°C"},
+	{Feature: FeatTimeBucket, Type: TypeLabel, Source: KindClock, Labels: []string{BucketNight, BucketMorning, BucketAfternoon, BucketEvening}},
+	{Feature: FeatVoiceCmd, Type: TypeBool, Source: KindVoiceAssistant},
+	{Feature: FeatWaterLeak, Type: TypeBool, Source: KindWaterLeak},
+	{Feature: FeatWindowOpen, Type: TypeBool, Source: KindDoorWindowContact},
 }
 
-var vocabularyIndex = buildVocabularyIndex()
-
-func buildVocabularyIndex() map[Feature]Descriptor {
-	m := make(map[Feature]Descriptor, len(vocabulary))
-	for _, d := range vocabulary {
-		m[d.Feature] = d
+// slotOf maps a feature to its slot.
+var slotOf = func() map[Feature]int {
+	m := make(map[Feature]int, NumFeatures)
+	for i, d := range vocabulary {
+		m[d.Feature] = i
 	}
 	return m
+}()
+
+// Vocabulary returns a copy of the full feature vocabulary in slot
+// (feature-name) order.
+func Vocabulary() []Descriptor {
+	out := vocabulary
+	return out[:]
 }
 
-// Vocabulary returns a copy of the full feature vocabulary in canonical
-// order.
-func Vocabulary() []Descriptor {
-	out := make([]Descriptor, len(vocabulary))
-	copy(out, vocabulary)
-	return out
+// SlotOf returns a feature's Snapshot slot; ok is false outside the
+// vocabulary.
+func SlotOf(f Feature) (int, bool) {
+	i, ok := slotOf[f]
+	return i, ok
 }
 
 // Describe looks up the descriptor of a feature.
 func Describe(f Feature) (Descriptor, bool) {
-	d, ok := vocabularyIndex[f]
-	return d, ok
+	i, ok := slotOf[f]
+	if !ok {
+		return Descriptor{}, false
+	}
+	return vocabulary[i], true
 }
 
 // MustDescribe looks up a feature descriptor that is known to exist. It is a
 // programming error to pass an unknown feature.
 func MustDescribe(f Feature) Descriptor {
-	d, ok := vocabularyIndex[f]
+	return vocabulary[mustSlot(f)]
+}
+
+// mustSlot is SlotOf for features known to exist; an unknown feature is a
+// programming error and panics.
+func mustSlot(f Feature) int {
+	i, ok := slotOf[f]
 	if !ok {
 		panic(fmt.Sprintf("sensor: unknown feature %q", f))
 	}
-	return d
+	return i
 }

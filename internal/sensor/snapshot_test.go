@@ -2,8 +2,10 @@ package sensor
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 var testTime = time.Date(2021, 3, 14, 15, 9, 26, 0, time.UTC)
@@ -42,12 +44,32 @@ func TestSnapshotAccessors(t *testing.T) {
 	}
 }
 
-func TestSnapshotCloneIsolation(t *testing.T) {
+// sameValues reports whether two snapshots hold the same features with
+// equal values, whatever their timestamps.
+func sameValues(a, b Snapshot) bool {
+	a.At, b.At = time.Time{}, time.Time{}
+	return a == b
+}
+
+func TestSnapshotCopyIsolation(t *testing.T) {
 	s := sampleSnapshot()
-	c := s.Clone()
+	c := s
 	c.Set(FeatSmoke, Bool(true))
-	if s.Bool(FeatSmoke) {
-		t.Error("mutating clone leaked into original")
+	c.Set(FeatMotion, Bool(true))
+	if s.Bool(FeatSmoke) || s.Len() != 4 {
+		t.Error("mutating a copy leaked into the original")
+	}
+}
+
+// TestSnapshotSize pins the dense layout: one 32-byte Value per
+// vocabulary slot, the timestamp and the presence mask. Snapshots are
+// passed and stored by value, so their size is copy cost and fleet memory.
+func TestSnapshotSize(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 32 {
+		t.Errorf("Value is %d bytes, want 32", got)
+	}
+	if got := unsafe.Sizeof(Snapshot{}); got > 704 {
+		t.Errorf("Snapshot is %d bytes, want <= 704", got)
 	}
 }
 
@@ -57,7 +79,8 @@ func TestSnapshotMerge(t *testing.T) {
 	o.Set(FeatSmoke, Bool(true))
 	o.Set(FeatMotion, Bool(true))
 
-	m := s.Merge(o)
+	m := s
+	m.Merge(&o)
 	if !m.Bool(FeatSmoke) {
 		t.Error("overlay value should win")
 	}
@@ -71,7 +94,7 @@ func TestSnapshotMerge(t *testing.T) {
 		t.Errorf("merge timestamp = %v", m.At)
 	}
 	if s.Bool(FeatSmoke) {
-		t.Error("merge mutated receiver")
+		t.Error("merging into a copy mutated the original")
 	}
 }
 
@@ -101,13 +124,11 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	if !back.At.Equal(s.At) {
 		t.Errorf("At = %v, want %v", back.At, s.At)
 	}
-	if len(back.Values) != len(s.Values) {
-		t.Fatalf("values len = %d, want %d", len(back.Values), len(s.Values))
+	if !sameValues(back, s) {
+		t.Errorf("round trip = %+v, want %+v", back, s)
 	}
-	for f, v := range s.Values {
-		if got := back.Values[f]; !got.Equal(v) {
-			t.Errorf("feature %q = %v, want %v", f, got, v)
-		}
+	if want := `{"at":"2021-03-14T15:09:26Z","values":{"door_lock":"locked","outdoor_weather":"rain","smoke":false,"temperature_in":22.5}}`; string(data) != want {
+		t.Errorf("wire form = %s, want %s", data, want)
 	}
 }
 
@@ -117,6 +138,7 @@ func TestFromReadingsKeepsNewest(t *testing.T) {
 		{SensorID: "a", Kind: KindTemperature, Feature: FeatTempIndoor, Value: Number(25), At: testTime.Add(time.Minute)},
 		{SensorID: "a", Kind: KindTemperature, Feature: FeatTempIndoor, Value: Number(19), At: testTime.Add(-time.Minute)},
 		{SensorID: "b", Kind: KindSmoke, Feature: FeatSmoke, Value: Bool(true), At: testTime},
+		{SensorID: "c", Kind: KindTemperature, Feature: "temp_indoor", Value: Number(99), At: testTime.Add(time.Hour)},
 	}
 	s := FromReadings(readings)
 	if n, _ := s.Number(FeatTempIndoor); n != 25 {
@@ -125,58 +147,64 @@ func TestFromReadingsKeepsNewest(t *testing.T) {
 	if !s.Bool(FeatSmoke) {
 		t.Error("smoke reading lost")
 	}
-	if !s.At.Equal(testTime.Add(time.Minute)) {
-		t.Errorf("At = %v", s.At)
+	if !s.At.Equal(testTime.Add(time.Minute)) || s.Len() != 2 {
+		t.Errorf("At = %v, len %d: the unknown feature's reading must be skipped", s.At, s.Len())
 	}
 }
 
+// TestSnapshotValidate: decoding validates every snapshot against the
+// vocabulary at the wire boundary. A feature outside the vocabulary, a
+// value of the wrong type and a label outside its domain are rejected,
+// and a rejected decode leaves the target as it was. A JSON null stays a
+// present, absent-valued feature for the judges downstream to flag.
 func TestSnapshotValidate(t *testing.T) {
-	t.Run("valid", func(t *testing.T) {
-		if err := sampleSnapshot().Validate(); err != nil {
-			t.Errorf("Validate() = %v", err)
-		}
-	})
-	t.Run("unknown feature", func(t *testing.T) {
-		s := NewSnapshot(testTime)
-		s.Set(Feature("bogus"), Bool(true))
-		if s.Validate() == nil {
-			t.Error("want error for unknown feature")
-		}
-	})
-	t.Run("wrong type", func(t *testing.T) {
-		s := NewSnapshot(testTime)
-		s.Set(FeatSmoke, Number(1))
-		if s.Validate() == nil {
-			t.Error("want error for wrong type")
-		}
-	})
-	t.Run("label outside domain", func(t *testing.T) {
-		s := NewSnapshot(testTime)
-		s.Set(FeatWeather, Label("hail"))
-		if s.Validate() == nil {
-			t.Error("want error for out-of-domain label")
-		}
-	})
-	t.Run("absent value", func(t *testing.T) {
-		s := NewSnapshot(testTime)
-		s.Set(FeatSmoke, Value{})
-		if s.Validate() == nil {
-			t.Error("want error for absent value")
-		}
-	})
+	cases := []struct {
+		name, values, wantErr string
+	}{
+		{"valid", `{"smoke":false,"temperature_in":22.5,"door_lock":"locked"}`, ""},
+		{"unknown feature", `{"bogus":true,"temp_indoor":21.5}`, `unknown feature "bogus"`},
+		{"empty feature name", `{"":true,"smoke":false}`, `unknown feature ""`},
+		{"wrong type", `{"smoke":1}`, "has type number, want bool"},
+		{"label outside domain", `{"outdoor_weather":"hail"}`, "outside domain"},
+		{"object value", `{"smoke":{}}`, "unsupported raw value type"},
+		{"absent value", `{"smoke":null}`, ""},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := sampleSnapshot()
+			err := json.Unmarshal([]byte(`{"at":"2021-03-14T15:09:26Z","values":`+c.values+`}`), &s)
+			if c.wantErr == "" {
+				if err != nil {
+					t.Fatalf("decode: %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+				t.Fatalf("decode error = %v, want %q", err, c.wantErr)
+			}
+			if !sameValues(s, sampleSnapshot()) {
+				t.Error("a rejected decode modified the target")
+			}
+		})
+	}
+	var s Snapshot
+	if err := json.Unmarshal([]byte(`{"values":{"smoke":null}}`), &s); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := s.Get(FeatSmoke); !ok || !v.IsZero() || s.Len() != 1 {
+		t.Errorf("null feature = %v, %v (len %d), want present and absent", v, ok, s.Len())
+	}
 }
 
-// TestSetOnZeroValueSnapshot is the regression test for the nil-map panic:
-// Set on a zero-value Snapshot must lazily allocate the value map instead
-// of panicking.
+// TestSetOnZeroValueSnapshot: Set works on a zero-value Snapshot.
 func TestSetOnZeroValueSnapshot(t *testing.T) {
 	var s Snapshot
 	s.Set(FeatSmoke, Bool(true))
 	if !s.Bool(FeatSmoke) {
 		t.Error("value lost after lazy allocation")
 	}
-	if len(s.Values) != 1 {
-		t.Errorf("values = %v", s.Values)
+	if s.Len() != 1 {
+		t.Errorf("len = %d, want 1", s.Len())
 	}
 	// A pointer to a zero-value snapshot works the same way.
 	p := &Snapshot{}
@@ -184,4 +212,16 @@ func TestSetOnZeroValueSnapshot(t *testing.T) {
 	if !p.Bool(FeatMotion) {
 		t.Error("pointer target lost value")
 	}
+}
+
+// TestSetUnknownFeaturePanics: the slots cover exactly the vocabulary, so
+// setting any other feature is a programming error, as in MustDescribe.
+func TestSetUnknownFeaturePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("Set on an unknown feature did not panic")
+		}
+	}()
+	var s Snapshot
+	s.Set(Feature("temp_indoor"), Number(21.5))
 }

@@ -8,12 +8,13 @@ import (
 
 // Value is the tagged union carried by a sensor reading: a boolean (logic-
 // oriented discrete value), a float64 (data-oriented continuous value) or a
-// label from a closed string domain. The zero Value is "absent".
+// label from a closed string domain. The zero Value is "absent". The field
+// order packs a Value into 32 bytes, one Snapshot slot (TestSnapshotSize).
 type Value struct {
+	s   string
+	n   float64
 	typ FeatureType
 	b   bool
-	n   float64
-	s   string
 }
 
 // Bool constructs a boolean value.

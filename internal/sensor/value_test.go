@@ -173,11 +173,20 @@ func TestVocabularyCompleteAndConsistent(t *testing.T) {
 	}
 }
 
-func TestMustDescribePanicsOnUnknown(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustDescribe should panic for unknown feature")
+// TestVocabularySortedByName: slot order is feature-name order, which is
+// what makes a mask walk list features sorted and MarshalJSON emit keys
+// in encoding/json's map order.
+func TestVocabularySortedByName(t *testing.T) {
+	vocab := Vocabulary()
+	if len(vocab) != NumFeatures {
+		t.Fatalf("vocabulary has %d features, want %d", len(vocab), NumFeatures)
+	}
+	for i, d := range vocab {
+		if i > 0 && vocab[i-1].Feature >= d.Feature {
+			t.Errorf("slot %d %q not after %q", i, d.Feature, vocab[i-1].Feature)
 		}
-	}()
-	MustDescribe(Feature("nope"))
+		if slot, ok := SlotOf(d.Feature); !ok || slot != i {
+			t.Errorf("SlotOf(%q) = %d, %v, want %d", d.Feature, slot, ok, i)
+		}
+	}
 }

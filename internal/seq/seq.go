@@ -102,7 +102,7 @@ func GapBucket(seconds float64) int {
 // a gateway pushing its own timeline) overrides the derived values.
 //
 //iot:hotpath
-func Encode(sensitive bool, snap sensor.Snapshot, gapSeconds float64, dwell time.Duration) Symbol {
+func Encode(sensitive bool, snap *sensor.Snapshot, gapSeconds float64, dwell time.Duration) Symbol {
 	var s Symbol
 	if sensitive {
 		s |= bitSensitive
@@ -410,7 +410,7 @@ func (s *Set) ObserveJudge(tr *Tracker, m dataset.Model, sensitive, allowed bool
 	}
 	dwell := at.Sub(occAt)
 
-	sym := Encode(sensitive, snap, gapSeconds, dwell)
+	sym := Encode(sensitive, &snap, gapSeconds, dwell)
 
 	var v Verdict
 	if sensitive {

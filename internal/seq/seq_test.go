@@ -2,6 +2,7 @@ package seq
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"math/rand"
 	"testing"
@@ -94,7 +95,7 @@ func TestEncodeExplicitTemporalFeatures(t *testing.T) {
 	snap.Set(sensor.FeatVoiceCmd, sensor.Bool(true))
 	snap.Set(sensor.FeatOccupancy, sensor.Bool(true))
 
-	derived := Encode(true, snap, 60, time.Hour)
+	derived := Encode(true, &snap, 60, time.Hour)
 	if got := int(derived>>gapShift) & 3; got != GapShort {
 		t.Fatalf("derived gap bucket = %d, want %d", got, GapShort)
 	}
@@ -105,7 +106,7 @@ func TestEncodeExplicitTemporalFeatures(t *testing.T) {
 	// Explicit features override the derived timeline.
 	snap.Set(sensor.FeatInstrGap, sensor.Number(3600))
 	snap.Set(sensor.FeatOccupancyDwell, sensor.Number(10))
-	explicit := Encode(true, snap, 60, time.Hour)
+	explicit := Encode(true, &snap, 60, time.Hour)
 	if got := int(explicit>>gapShift) & 3; got != GapLong {
 		t.Fatalf("explicit gap bucket = %d, want %d", got, GapLong)
 	}
@@ -116,7 +117,7 @@ func TestEncodeExplicitTemporalFeatures(t *testing.T) {
 	// NaN explicit values must stay inside the alphabet deterministically.
 	snap.Set(sensor.FeatInstrGap, sensor.Number(math.NaN()))
 	snap.Set(sensor.FeatOccupancyDwell, sensor.Number(math.NaN()))
-	nan := Encode(true, snap, 60, time.Hour)
+	nan := Encode(true, &snap, 60, time.Hour)
 	if got := int(nan>>gapShift) & 3; got != GapInstant {
 		t.Fatalf("NaN gap bucket = %d, want %d", got, GapInstant)
 	}
@@ -164,7 +165,7 @@ func TestLegalTraceShape(t *testing.T) {
 		t.Fatalf("trace has no sensitive events")
 	}
 	snap := trace[0].Snapshot()
-	if err := snap.Validate(); err != nil {
+	if err := roundTrip(snap); err != nil {
 		t.Fatalf("trace snapshot fails vocabulary validation: %v", err)
 	}
 }
@@ -381,4 +382,14 @@ func TestLogLikelihoodOrdering(t *testing.T) {
 		return
 	}
 	t.Fatalf("no populated row found")
+}
+
+// roundTrip sends a snapshot through the wire codec, whose decoder
+// rejects features, types and labels outside the vocabulary.
+func roundTrip(s sensor.Snapshot) error {
+	data, err := json.Marshal(s)
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(data, new(sensor.Snapshot))
 }

@@ -109,7 +109,7 @@ func (t *Tracker) Admit(sensitive bool, snap sensor.Snapshot, at time.Time) Symb
 	if t.n == 0 || occ != t.occ {
 		occAt = at
 	}
-	sym := Encode(sensitive, snap, gapSeconds, at.Sub(occAt))
+	sym := Encode(sensitive, &snap, gapSeconds, at.Sub(occAt))
 	t.occ = occ
 	t.occAt = occAt
 	t.hist[t.n%histCap] = sym

@@ -88,7 +88,7 @@ func (iv Invariant) validate() error {
 // reports whether it fired, with a human-readable detail. It is total
 // over adversarial inputs: either snapshot may be the zero value, carry
 // unknown features, absent values or non-finite numbers.
-func (iv Invariant) Eval(prev, cur sensor.Snapshot) (bool, string) {
+func (iv Invariant) Eval(prev, cur *sensor.Snapshot) (bool, string) {
 	switch iv.Kind {
 	case MaxStep:
 		pv, pok := numericFeature(prev, iv.Feature)
@@ -100,7 +100,7 @@ func (iv Invariant) Eval(prev, cur sensor.Snapshot) (bool, string) {
 			return true, fmt.Sprintf("%s: %s stepped %.4g, limit %.4g", iv.Name, iv.Feature, step, iv.Limit)
 		}
 	case Range:
-		v, ok := cur.Values[iv.Feature]
+		v, ok := cur.Get(iv.Feature)
 		if !ok {
 			return false, ""
 		}
@@ -125,8 +125,8 @@ func (iv Invariant) Eval(prev, cur sensor.Snapshot) (bool, string) {
 }
 
 // numericFeature extracts a finite numeric (or boolean-coerced) value.
-func numericFeature(s sensor.Snapshot, f sensor.Feature) (float64, bool) {
-	v, ok := s.Values[f]
+func numericFeature(s *sensor.Snapshot, f sensor.Feature) (float64, bool) {
+	v, ok := s.Get(f)
 	if !ok {
 		return 0, false
 	}
@@ -139,8 +139,8 @@ func numericFeature(s sensor.Snapshot, f sensor.Feature) (float64, bool) {
 
 // boolFeature extracts a present boolean value (no default-on-absent:
 // an absent occupancy report must not read as "nobody home").
-func boolFeature(s sensor.Snapshot, f sensor.Feature) (bool, bool) {
-	v, ok := s.Values[f]
+func boolFeature(s *sensor.Snapshot, f sensor.Feature) (bool, bool) {
+	v, ok := s.Get(f)
 	if !ok {
 		return false, false
 	}

@@ -155,14 +155,14 @@ type sourceState struct {
 	obs        uint64
 	violations uint64
 	lastAt     time.Time
-	lastVals   map[sensor.Feature]sensor.Value
+	last       sensor.Snapshot // newest non-empty report, At zeroed
 	stuckRun   int
 	// interval baseline: sum/count of deltas between timestamped
 	// observations, frozen into meanInterval at baseline completion.
 	intervalSum   float64
 	intervalN     int
 	meanInterval  float64
-	feats         map[sensor.Feature]*featState
+	feats         [sensor.NumFeatures]featState // by vocabulary slot
 	baselineReady bool
 
 	scoreGauge *obs.Gauge
@@ -174,7 +174,7 @@ type sourceState struct {
 type Engine struct {
 	cfg        Config
 	invariants []Invariant
-	exempt     map[sensor.Feature]bool
+	exempt     [sensor.NumFeatures]bool // by vocabulary slot
 	byName     map[string]int
 	sources    []*sourceState
 
@@ -244,12 +244,13 @@ func NewEngine(cfg Config, sources ...SourceConfig) (*Engine, error) {
 	e := &Engine{
 		cfg:        cfg,
 		invariants: invariants,
-		exempt:     make(map[sensor.Feature]bool, len(cfg.DriftExempt)),
 		byName:     make(map[string]int, len(sources)),
 		sources:    make([]*sourceState, 0, len(sources)),
 	}
 	for _, f := range cfg.DriftExempt {
-		e.exempt[f] = true
+		if i, ok := sensor.SlotOf(f); ok {
+			e.exempt[i] = true
+		}
 	}
 	var scoreVec *obs.GaugeVec
 	var violVec *obs.CounterVec
@@ -268,11 +269,7 @@ func NewEngine(cfg Config, sources ...SourceConfig) (*Engine, error) {
 		if _, dup := e.byName[sc.Name]; dup {
 			return nil, fmt.Errorf("trust: duplicate source %q", sc.Name)
 		}
-		st := &sourceState{
-			name:     sc.Name,
-			required: sc.Required,
-			feats:    make(map[sensor.Feature]*featState),
-		}
+		st := &sourceState{name: sc.Name, required: sc.Required}
 		st.score.Store(math.Float64bits(1))
 		if cfg.Metrics != nil {
 			st.scoreGauge = scoreVec.With(sc.Name)
@@ -422,11 +419,13 @@ func (e *Engine) Observe(source string, snap sensor.Snapshot, at time.Time) []Vi
 		}
 	}
 
-	// Per-feature value fingerprint, in sorted feature order so the
+	// Per-feature value fingerprint, in slot (feature-name) order so the
 	// violation list and the score trajectory are scheduling-independent.
-	feats := snap.Features()
-	for _, f := range feats {
-		v := snap.Values[f]
+	for i := 0; i < sensor.NumFeatures; i++ {
+		f, v, ok := snap.Slot(i)
+		if !ok {
+			continue
+		}
 		if v.IsZero() {
 			report(RuleMalformed, fmt.Sprintf("feature %s absent (null) value", f))
 			continue
@@ -439,11 +438,7 @@ func (e *Engine) Observe(source string, snap sensor.Snapshot, at time.Time) []Vi
 			report(RuleMalformed, fmt.Sprintf("feature %s non-finite value %v", f, num))
 			continue
 		}
-		fs := s.feats[f]
-		if fs == nil {
-			fs = &featState{min: num, max: num}
-			s.feats[f] = fs
-		}
+		fs := &s.feats[i]
 		if s.baselineReady && fs.n > 0 {
 			// A feature must have contributed to the baseline to be
 			// judged against it; late-appearing features only learn.
@@ -452,7 +447,7 @@ func (e *Engine) Observe(source string, snap sensor.Snapshot, at time.Time) []Vi
 					report(RuleStep, fmt.Sprintf("feature %s stepped %.4g, envelope %.4g", f, step, fs.stepLimit))
 				}
 			}
-			if !e.exempt[f] {
+			if !e.exempt[i] {
 				band := e.cfg.DriftTolerance * fs.spread
 				if dev := math.Abs(num - fs.mean); dev > band {
 					report(RuleDrift, fmt.Sprintf("feature %s at %.4g drifted %.4g from learned mean %.4g (band %.4g)", f, num, dev, fs.mean, band))
@@ -480,7 +475,9 @@ func (e *Engine) Observe(source string, snap sensor.Snapshot, at time.Time) []Vi
 	// stuck-at spoof (or a dead cache — either way, not live physics).
 	// Armed from the first observation: a source stuck from birth is
 	// exactly as suspect as one that froze later.
-	if len(snap.Values) > 0 && identicalValues(snap.Values, s.lastVals) {
+	vals := snap
+	vals.At = time.Time{}
+	if snap.Len() > 0 && vals == s.last {
 		s.stuckRun++
 		if s.stuckRun >= e.cfg.StuckAfter {
 			report(RuleStuck, fmt.Sprintf("values bit-identical for %d consecutive reports", s.stuckRun+1))
@@ -490,9 +487,8 @@ func (e *Engine) Observe(source string, snap sensor.Snapshot, at time.Time) []Vi
 	}
 
 	// Cross-sensor invariant table, in declaration order.
-	prev := sensor.Snapshot{Values: s.lastVals}
 	for _, iv := range e.invariants {
-		if violated, detail := iv.Eval(prev, snap); violated {
+		if violated, detail := iv.Eval(&s.last, &snap); violated {
 			report(iv.Name, detail)
 		}
 	}
@@ -530,12 +526,8 @@ func (e *Engine) Observe(source string, snap sensor.Snapshot, at time.Time) []Vi
 	if timed && at.After(s.lastAt) {
 		s.lastAt = at
 	}
-	if len(snap.Values) > 0 {
-		vals := make(map[sensor.Feature]sensor.Value, len(snap.Values))
-		for f, v := range snap.Values {
-			vals[f] = v
-		}
-		s.lastVals = vals
+	if snap.Len() > 0 {
+		s.last = vals
 	}
 	s.obs++
 	if !s.baselineReady && s.obs >= uint64(e.cfg.BaselineObs) {
@@ -550,7 +542,8 @@ func (s *sourceState) freezeBaseline(stepTol float64) {
 	if s.intervalN > 0 {
 		s.meanInterval = s.intervalSum / float64(s.intervalN)
 	}
-	for _, fs := range s.feats {
+	for i := range s.feats {
+		fs := &s.feats[i]
 		if fs.n == 0 {
 			continue
 		}
@@ -567,18 +560,4 @@ func (s *sourceState) freezeBaseline(stepTol float64) {
 		fs.stepLimit = stepTol * step
 	}
 	s.baselineReady = true
-}
-
-// identicalValues reports whether two value maps carry exactly the same
-// features with exactly equal values.
-func identicalValues(a, b map[sensor.Feature]sensor.Value) bool {
-	if len(a) != len(b) || b == nil {
-		return false
-	}
-	for f, v := range a {
-		if ov, ok := b[f]; !ok || !v.Equal(ov) {
-			return false
-		}
-	}
-	return true
 }

@@ -367,3 +367,56 @@ func expositionContains(t *testing.T, reg *obs.Registry, line string) {
 		t.Fatalf("exposition missing %q:\n%s", line, buf.String())
 	}
 }
+
+// steady8 is steady with three more features (a boolean, a label and a
+// number): the 8-feature clean report the allocation gate measures.
+func steady8(i int) (sensor.Snapshot, time.Time) {
+	s, at := steady(i)
+	s.Set(sensor.FeatSmoke, sensor.Bool(false))
+	s.Set(sensor.FeatDoorLock, sensor.Label(sensor.LockLocked))
+	s.Set(sensor.FeatNoise, sensor.Number(35+math.Cos(float64(i)/3)))
+	return s, at
+}
+
+// TestObserveCleanReportAllocs is the 0-alloc gate on the trust report: a
+// clean, post-baseline Observe of an 8-feature snapshot walks the dense
+// slots and compares snapshots by value, so it allocates nothing.
+func TestObserveCleanReportAllocs(t *testing.T) {
+	e := newTestEngine(t, Config{})
+	i := 0
+	for ; i < 16; i++ {
+		s, at := steady8(i)
+		e.Observe("sim", s, at)
+	}
+	var violations int
+	allocs := testing.AllocsPerRun(200, func() {
+		s, at := steady8(i)
+		i++
+		violations += len(e.Observe("sim", s, at))
+	})
+	if violations != 0 {
+		t.Fatalf("clean stream raised %d violations", violations)
+	}
+	if allocs != 0 {
+		t.Errorf("clean Observe allocates %.1f times per report, want 0", allocs)
+	}
+}
+
+func BenchmarkObserveClean(b *testing.B) {
+	e, err := NewEngine(Config{}, SourceConfig{Name: "sim", Required: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	snaps := make([]sensor.Snapshot, 64)
+	for i := range snaps {
+		snaps[i], _ = steady8(i)
+	}
+	for i := 0; i < 16; i++ {
+		e.Observe("sim", snaps[i], snaps[i].At)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Observe("sim", snaps[i%len(snaps)], t0.Add(time.Duration(16+i)*5*time.Second))
+	}
+}

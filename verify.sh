@@ -91,6 +91,15 @@ go test -race -count=1 -run 'Fleet' ./internal/cloud/
 fleet_smoke="$(go run ./cmd/fleetload -homes 200 -steps 2 -workers 2 -batch 64 -seed 1)"
 echo "$fleet_smoke" | grep -q 'digest' || { echo 'fleetload smoke: no digest in output' >&2; exit 1; }
 
+# Benchmark-module gate: perfbench/ is its own module (it replaces iotsid
+# with the checkout), so the go build/vet/test runs above never compile
+# it. Vet and test it here: its tests replay the fleet-gateway stream in
+# process and pin the seed-1 decision digest to cmd/fleetload's
+# 284abdb8010ee900, so an API or decision change breaks this gate, not
+# the next benchmark run.
+go -C perfbench vet ./...
+go -C perfbench test -count=1 ./...
+
 # Sensor-trust gate: the trust engine is lock-free hot-path state observed
 # from every push path — run its suite (property tests included) under the
 # race detector, then the trust wiring in core, fleet and cloud, then the
